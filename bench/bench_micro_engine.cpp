@@ -102,6 +102,23 @@ void BM_EngineSinrDisk(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSinrDisk)->Arg(256)->Arg(1024);
 
+void BM_GraphBuildDisk(benchmark::State& state) {
+  // Unit-disk graph construction (placement, edges, connectivity check)
+  // from a fixed seed: the geo-large sweep cells disk:{5000,10000}:0.042
+  // and a disk:50000:0.01 cell near the connectivity threshold.
+  const auto n = static_cast<graph::NodeId>(state.range(0));
+  const double radius = n <= 10000 ? 0.042 : 0.01;
+  for (auto _ : state) {
+    Rng rng(5);
+    benchmark::DoNotOptimize(graph::make_unit_disk(n, radius, 1.0, rng));
+  }
+}
+BENCHMARK(BM_GraphBuildDisk)
+    ->Arg(5000)
+    ->Arg(10000)
+    ->Arg(50000)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_EngineSilentRounds(benchmark::State& state) {
   const auto g = graph::make_path(1024);
   radio::RadioNetwork net(g, radio::FaultModel::receiver(0.3), Rng(3));

@@ -1,7 +1,9 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "graph/algorithms.hpp"
 
@@ -219,41 +221,134 @@ Graph make_lollipop(NodeId clique, NodeId tail) {
 
 namespace {
 
+/// Cells per side of the bucketing grid over [0, side)^2.  A cell is a
+/// hair wider than `range` (the 1e-9 margin absorbs every rounding in the
+/// index arithmetic and the distance predicate), so any pair within range
+/// lands in the same or adjacent cells.  At most ceil(sqrt(n)) cells per
+/// side keep the grid O(n) however sparse the placement; a coarser grid
+/// only widens the candidate set, never the result.
+std::int64_t cells_per_side(std::size_t n, double side, double range) {
+  const double fit = std::floor(side / (range * (1.0 + 1e-9)));
+  const double cap = std::ceil(std::sqrt(static_cast<double>(n)));
+  return static_cast<std::int64_t>(std::max(1.0, std::min(fit, cap)));
+}
+
+}  // namespace
+
+std::vector<std::pair<NodeId, NodeId>> geometric_edges(
+    std::span<const double> x, std::span<const double> y, double side,
+    double range) {
+  NRN_EXPECTS(x.size() == y.size(), "coordinate arrays differ in length");
+  NRN_EXPECTS(side > 0.0 && range > 0.0, "side and range must be positive");
+  const std::size_t n = x.size();
+  const std::int64_t k = cells_per_side(n, side, range);
+  const double scale = static_cast<double>(k) / side;
+  auto index = [&](double v) {
+    return static_cast<std::int32_t>(
+        std::clamp(std::floor(v * scale), 0.0, static_cast<double>(k - 1)));
+  };
+
+  // Counting sort of the ids into row-major cell order, stable so ids
+  // ascend within a cell; parallel coordinate copies make the scan below
+  // stream through memory.
+  std::vector<std::int32_t> cx(n), cy(n);
+  std::vector<std::int64_t> start(static_cast<std::size_t>(k * k) + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    cx[i] = index(x[i]);
+    cy[i] = index(y[i]);
+    ++start[static_cast<std::size_t>(cy[i] * k + cx[i] + 1)];
+  }
+  for (std::size_t c = 1; c < start.size(); ++c) start[c] += start[c - 1];
+  std::vector<NodeId> ids(n);
+  std::vector<double> sx(n), sy(n);
+  {
+    std::vector<std::int64_t> fill(start.begin(), start.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto p = static_cast<std::size_t>(
+          fill[static_cast<std::size_t>(cy[i] * k + cx[i])]++);
+      ids[p] = static_cast<NodeId>(i);
+      sx[p] = x[i];
+      sy[p] = y[i];
+    }
+  }
+
+  // gather(v) collects the u < v within range into `near`: they come from
+  // the 3x3 block of cells around v's cell -- three contiguous runs of
+  // the sorted arrays, scanned without branches (every candidate is
+  // written, only hits advance the cursor; a block holds at most n
+  // candidates).
+  const double range2 = range * range;
+  std::vector<NodeId> near(n);
+  auto gather = [&](std::size_t v) {
+    const double xv = x[v];
+    const double yv = y[v];
+    const std::int64_t x_lo = std::max<std::int64_t>(cx[v] - 1, 0);
+    const std::int64_t x_hi = std::min<std::int64_t>(cx[v] + 1, k - 1);
+    const std::int64_t y_lo = std::max<std::int64_t>(cy[v] - 1, 0);
+    const std::int64_t y_hi = std::min<std::int64_t>(cy[v] + 1, k - 1);
+    std::size_t hits = 0;
+    for (std::int64_t cell_row = y_lo; cell_row <= y_hi; ++cell_row) {
+      const auto lo = static_cast<std::size_t>(
+          start[static_cast<std::size_t>(cell_row * k + x_lo)]);
+      const auto hi = static_cast<std::size_t>(
+          start[static_cast<std::size_t>(cell_row * k + x_hi) + 1]);
+      for (std::size_t p = lo; p < hi; ++p) {
+        const double dx = sx[p] - xv;
+        const double dy = sy[p] - yv;
+        near[hits] = ids[p];
+        hits += static_cast<std::size_t>(
+            (ids[p] < static_cast<NodeId>(v)) & (dx * dx + dy * dy <= range2));
+      }
+    }
+    return hits;
+  };
+
+  // Two passes over v in ascending order: the first counts each u's
+  // partners, the second writes every pair {u, v} straight into u's slot
+  // of the exactly sized edge list.  Each u's partners arrive in
+  // ascending v, so the list comes out lexicographic, ready for the Graph
+  // constructor -- no per-node sort, no growing buffer.
+  std::vector<std::size_t> slot(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t hits = gather(v);
+    for (std::size_t h = 0; h < hits; ++h)
+      ++slot[static_cast<std::size_t>(near[h]) + 1];
+  }
+  for (std::size_t u = 1; u <= n; ++u) slot[u] += slot[u - 1];
+  std::vector<std::pair<NodeId, NodeId>> edges(slot[n]);
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t hits = gather(v);
+    for (std::size_t h = 0; h < hits; ++h)
+      edges[slot[static_cast<std::size_t>(near[h])]++] = {
+          near[h], static_cast<NodeId>(v)};
+  }
+  return edges;
+}
+
+namespace {
+
 /// Shared body of the geometric generators: places n nodes uniformly in
 /// the [0, side)^2 square (x then y per node, 2n uniform01 draws total),
-/// joins every pair within `range`, and exports the placement.  The draws
-/// never depend on whether geometry output was requested, so graph builds
-/// with and without it see the same topology from the same rng state.
+/// joins every pair within `range` (geometric_edges), and exports the
+/// placement.  The draws never depend on whether geometry output was
+/// requested, so graph builds with and without it see the same topology
+/// from the same rng state.
 ///
 /// A disconnected sample is resampled from the same stream (the broadcast
 /// model needs every node reachable, and a graph edge the channel can
 /// never deliver over would be worse than a retry).  The retry budget
-/// makes a sub-critical radius/density fail loudly instead of spinning.
+/// makes a sub-critical radius/density fail with PlacementError instead
+/// of spinning; each attempt is O(n + E), so failing is fast too.
 Graph make_geometric(NodeId n, double side, double range, double power,
                      Rng& rng, Geometry* geometry) {
-  constexpr int kMaxPlacementAttempts = 64;
   std::vector<double> x(static_cast<std::size_t>(n));
   std::vector<double> y(static_cast<std::size_t>(n));
-  const double range2 = range * range;
-  for (int attempt = 0;; ++attempt) {
-    NRN_EXPECTS(attempt < kMaxPlacementAttempts,
-                "geometric placement failed to connect; raise the "
-                "radius/density or shrink n");
+  for (int attempt = 0; attempt < kMaxPlacementAttempts; ++attempt) {
     for (std::size_t i = 0; i < x.size(); ++i) {
       x[i] = rng.uniform01() * side;
       y[i] = rng.uniform01() * side;
     }
-    GraphBuilder b(n);
-    for (NodeId i = 0; i < n; ++i) {
-      for (NodeId j = i + 1; j < n; ++j) {
-        const double dx = x[static_cast<std::size_t>(i)] -
-                          x[static_cast<std::size_t>(j)];
-        const double dy = y[static_cast<std::size_t>(i)] -
-                          y[static_cast<std::size_t>(j)];
-        if (dx * dx + dy * dy <= range2) b.add_edge(i, j);
-      }
-    }
-    Graph g = b.build();
+    Graph g(n, geometric_edges(x, y, side, range));
     if (!is_connected(g)) continue;
     if (geometry != nullptr) {
       geometry->x = std::move(x);
@@ -262,6 +357,9 @@ Graph make_geometric(NodeId n, double side, double range, double power,
     }
     return g;
   }
+  throw PlacementError("geometric placement of " + std::to_string(n) +
+                       " nodes failed to connect in " +
+                       std::to_string(kMaxPlacementAttempts) + " attempts");
 }
 
 }  // namespace

@@ -3,10 +3,16 @@
 // These cover every family used by the paper's analyses plus standard test
 // workloads: the path (Lemma 10's degradation instance), the star (the
 // Theta(log n) receiver-fault gap instance, Section 5.1.1), the single link
-// (Appendix A), grids/trees/caterpillars (Robust FASTBC stress), and random
-// connected graphs for property sweeps.  The WCT construction lives in
+// (Appendix A), grids/trees/caterpillars (Robust FASTBC stress), random
+// connected graphs for property sweeps, and geometric (unit-disk /
+// fixed-density) graphs for the SINR channel.  The WCT construction lives in
 // src/topology (it needs cluster bookkeeping beyond a plain Graph).
 #pragma once
+
+#include <span>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "graph/geometry.hpp"
@@ -76,22 +82,48 @@ Graph make_ring_of_cliques(NodeId cliques, NodeId clique_size);
 /// be even.  Connectivity is not guaranteed but holds w.h.p. for d >= 3.
 Graph make_random_regular(NodeId n, std::int32_t degree, Rng& rng);
 
+/// Placement attempts a geometric generator makes before giving up.
+inline constexpr int kMaxPlacementAttempts = 64;
+
+/// Thrown by the geometric generators when none of the
+/// kMaxPlacementAttempts placements is connected (a sub-critical
+/// radius/density).  sim::TopologySpec::build turns it into a SpecError
+/// naming the connectivity threshold.
+class PlacementError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// The coordinates -> edges step of the geometric generators: every pair
+/// {u, v} with dx*dx + dy*dy <= range*range (dx = x[u] - x[v], same for
+/// y), as a lexicographically sorted list of (u, v), u < v.  Points are
+/// bucketed into a uniform grid over [0, side]^2 whose cells are at least
+/// `range` wide, and each point is compared only against the 3x3 block
+/// of cells around it, so the cost is O(n + E) -- with the grid capped at
+/// ceil(sqrt(n)) cells per side, however small `range` is next to `side`.
+/// Coordinates must not be NaN; ones outside the square are clamped into
+/// the border cells, which keeps the result exact.
+std::vector<std::pair<NodeId, NodeId>> geometric_edges(
+    std::span<const double> x, std::span<const double> y, double side,
+    double range);
+
 /// Unit-disk graph (arXiv:1302.4059 style): n nodes placed uniformly at
-/// random in the unit square, an edge joining every pair within `radius`.
-/// Every node transmits with the shared `power` (the SINR channel prices
-/// gains from it).  Placement goes to `geometry` when non-null; the rng
-/// draws are identical either way (2n uniform01 calls per attempt, x then
-/// y per node).  A disconnected sample is resampled from the same stream
-/// (broadcast needs every node reachable); a radius that fails to connect
-/// within the retry budget fails the build loudly.
+/// random in the unit square, an edge joining every pair within `radius`
+/// (geometric_edges, O(n + E) per attempt).  Every node transmits with
+/// the shared `power` (the SINR channel prices gains from it).  Placement
+/// goes to `geometry` when non-null; the rng draws are identical either
+/// way (2n uniform01 calls per attempt, x then y per node).  A
+/// disconnected sample is resampled from the same stream (broadcast needs
+/// every node reachable); a radius that fails to connect within
+/// kMaxPlacementAttempts throws PlacementError.
 Graph make_unit_disk(NodeId n, double radius, double power, Rng& rng,
                      Geometry* geometry = nullptr);
 
 /// Geometric graph at fixed expected density: n nodes placed uniformly in
 /// the [0, L)^2 square with L = sqrt(n / density), an edge joining every
 /// pair within unit distance, unit transmit power -- so `density` is the
-/// expected number of nodes per unit square regardless of n.  Same rng
-/// and geometry conventions as make_unit_disk.
+/// expected number of nodes per unit square regardless of n.  Same rng,
+/// geometry, edge and retry conventions as make_unit_disk.
 Graph make_uniform_density(NodeId n, double density, Rng& rng,
                            Geometry* geometry = nullptr);
 

@@ -29,7 +29,9 @@ Graph::Graph(NodeId node_count,
   for (NodeId u = 0; u < node_count_; ++u) {
     auto row_begin = targets_.begin() + offsets_[static_cast<std::size_t>(u)];
     auto row_end = targets_.begin() + offsets_[static_cast<std::size_t>(u) + 1];
-    std::sort(row_begin, row_end);
+    // Rows of a lexicographic edge list (GraphBuilder, geometric_edges)
+    // arrive sorted already.
+    if (!std::is_sorted(row_begin, row_end)) std::sort(row_begin, row_end);
     NRN_EXPECTS(std::adjacent_find(row_begin, row_end) == row_end,
                 "parallel edges are not allowed");
   }

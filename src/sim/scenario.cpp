@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <numbers>
 #include <sstream>
 
 #include "common/numio.hpp"
@@ -252,11 +253,29 @@ topology::WctParams TopologySpec::wct_params() const {
 graph::Graph TopologySpec::build(Rng& rng, graph::Geometry* geometry) const {
   using graph::NodeId;
   auto n = [&](std::size_t i) { return static_cast<NodeId>(ints.at(i)); };
-  if (kind == "disk")
-    return graph::make_unit_disk(n(0), reals.at(0), reals.at(1), rng,
-                                 geometry);
-  if (kind == "uniform")
-    return graph::make_uniform_density(n(0), reals.at(0), rng, geometry);
+  if (geometric()) {
+    try {
+      return kind == "disk"
+                 ? graph::make_unit_disk(n(0), reals.at(0), reals.at(1), rng,
+                                         geometry)
+                 : graph::make_uniform_density(n(0), reals.at(0), rng,
+                                               geometry);
+    } catch (const graph::PlacementError&) {
+      // Connectivity threshold of n uniform points: pi r^2 n ~ ln n, in
+      // the unit square (disk radius) or at unit range (uniform density).
+      const double nodes = static_cast<double>(ints.at(0));
+      const double log_n = std::log(nodes);
+      constexpr double pi = std::numbers::pi;
+      const std::string threshold =
+          kind == "disk"
+              ? "radius ~ sqrt(ln n / (pi n)) = " +
+                    format_real(std::sqrt(log_n / (pi * nodes)), 3)
+              : "density ~ ln n / pi = " + format_real(log_n / pi, 3);
+      bad_spec("topology '" + text + "': no connected placement in " +
+               std::to_string(graph::kMaxPlacementAttempts) +
+               " attempts; the connectivity threshold is " + threshold);
+    }
+  }
   if (kind == "path") return graph::make_path(n(0));
   if (kind == "cycle") return graph::make_cycle(n(0));
   if (kind == "star") return graph::make_star(n(0));

@@ -79,7 +79,8 @@ struct TopologySpec {
 
   /// Builds the graph; geometric families (disk, uniform) additionally
   /// export their node placement to `geometry` when non-null.  The rng
-  /// draws do not depend on whether geometry was requested.
+  /// draws do not depend on whether geometry was requested.  A geometric
+  /// spec below its connectivity threshold throws SpecError naming it.
   graph::Graph build(Rng& rng, graph::Geometry* geometry = nullptr) const;
 
   /// True iff build() consumes randomness (gnp, tree, regular, wct,

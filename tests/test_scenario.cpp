@@ -153,6 +153,38 @@ TEST(TopologySpec, GeometricRejectionsNameTheProblem) {
   }
 }
 
+TEST(TopologySpec, SubcriticalPlacementIsASpecError) {
+  // These parse, but no placement connects: build() reports the spec and
+  // the connectivity threshold instead of an internal contract failure.
+  struct Case {
+    std::string spec;
+    std::string message;
+  };
+  const Case cases[] = {
+      {"disk:2000:0.005",
+       "topology 'disk:2000:0.005': no connected placement in 64 attempts; "
+       "the connectivity threshold is radius ~ sqrt(ln n / (pi n)) = 0.0348"},
+      {"disk:400:0.02:2.5",
+       "topology 'disk:400:0.02:2.5': no connected placement in 64 "
+       "attempts; the connectivity threshold is radius ~ sqrt(ln n / (pi n)) "
+       "= 0.069"},
+      {"uniform:2000:0.5",
+       "topology 'uniform:2000:0.5': no connected placement in 64 attempts; "
+       "the connectivity threshold is density ~ ln n / pi = 2.42"},
+      // A square of side ~1.4e6 at unit range: the cell cap keeps the
+      // grid at 2 x 2 instead of 2e12 cells, so this fails fast.
+      {"uniform:2:1e-12",
+       "topology 'uniform:2:1e-12': no connected placement in 64 attempts; "
+       "the connectivity threshold is density ~ ln n / pi = 0.221"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    const auto spec = TopologySpec::parse(c.spec);
+    Rng rng(1);
+    EXPECT_EQ(spec_error_of([&] { spec.build(rng); }), c.message);
+  }
+}
+
 TEST(ChannelSpec, ParsesAllDocumentedForms) {
   const auto fault = parse_fault_spec("receiver:0.25");
   const auto edge = parse_channel_spec("none", fault);
