@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
         "fault=receiver:{0.1,0.3,0.5,0.7,0.9},sender:{0.1,0.3,0.5,0.7,0.9};" +
         common);
     for (const auto& cell : report.cells) {
-      const auto& fault = cell.experiment.scenario.fault;
+      const auto& fault = cell.experiment.scenario.channel;
       const double q = fault.effective_loss();
       const double ad = completed_rounds(cell.experiment);
       // "sender:0.1" -> "sender": the spec text names the model.

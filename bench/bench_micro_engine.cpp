@@ -20,7 +20,8 @@ using namespace nrn;
 void BM_EngineRoundStar(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   const auto g = graph::make_star(n);
-  radio::RadioNetwork net(g, radio::FaultModel::receiver(0.5), Rng(1));
+  radio::RadioNetwork net(g, radio::ChannelModel::receiver(0.5), nullptr,
+                          Rng(1));
   std::int64_t id = 0;
   for (auto _ : state) {
     net.set_broadcast(0, radio::Packet{id++});
@@ -34,7 +35,7 @@ void BM_EngineRoundManyBroadcasters(benchmark::State& state) {
   // Half of a complete graph broadcasting: the collision-heavy worst case.
   const auto n = static_cast<graph::NodeId>(state.range(0));
   const auto g = graph::make_complete(n);
-  radio::RadioNetwork net(g, radio::FaultModel::faultless(), Rng(1));
+  radio::RadioNetwork net(g, radio::ChannelModel::faultless(), nullptr, Rng(1));
   for (auto _ : state) {
     for (graph::NodeId u = 0; u < n / 2; ++u)
       net.set_broadcast(u, radio::Packet{u});
@@ -50,7 +51,8 @@ void BM_EngineDecayPath(benchmark::State& state) {
   const auto g = graph::make_path(n);
   std::uint64_t seed = 7;
   for (auto _ : state) {
-    radio::RadioNetwork net(g, radio::FaultModel::receiver(0.3), Rng(seed));
+    radio::RadioNetwork net(g, radio::ChannelModel::receiver(0.3), nullptr,
+                            Rng(seed));
     Rng rng(seed ^ 0xfeed);
     ++seed;
     benchmark::DoNotOptimize(core::Decay().run(net, 0, rng));
@@ -64,7 +66,8 @@ void BM_EngineKernel(benchmark::State& state, radio::RadioNetwork::Kernel k) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   Rng grng(11);
   const auto g = graph::make_connected_gnp(n, 16.0 / n, grng);
-  radio::RadioNetwork net(g, radio::FaultModel::combined(0.1, 0.1), Rng(2));
+  radio::RadioNetwork net(g, radio::ChannelModel::combined(0.1, 0.1), nullptr,
+                          Rng(2));
   net.set_kernel(k);
   for (auto _ : state) {
     for (graph::NodeId u = 0; u < n; u += 2)
@@ -121,7 +124,8 @@ BENCHMARK(BM_GraphBuildDisk)
 
 void BM_EngineSilentRounds(benchmark::State& state) {
   const auto g = graph::make_path(1024);
-  radio::RadioNetwork net(g, radio::FaultModel::receiver(0.3), Rng(3));
+  radio::RadioNetwork net(g, radio::ChannelModel::receiver(0.3), nullptr,
+                          Rng(3));
   for (auto _ : state) {
     net.run_silent_rounds(1024);
     benchmark::DoNotOptimize(net.round_number());
@@ -213,11 +217,11 @@ void BM_RsEncode(benchmark::State& state) {
       k, std::vector<coding::Gf65536::Symbol>(8));
   for (auto& m : msgs)
     for (auto& s : m) s = static_cast<coding::Gf65536::Symbol>(rng.next_below(65536));
-  coding::ReedSolomon rs(k, 8);
+  coding::ReedSolomon<coding::Gf65536> rs(k, 8);
   std::uint32_t idx = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(rs.encode_packet(msgs, idx));
-    idx = (idx + 1) % coding::ReedSolomon::max_packets();
+    idx = (idx + 1) % coding::ReedSolomon<coding::Gf65536>::max_packets();
   }
 }
 BENCHMARK(BM_RsEncode)->Arg(16)->Arg(64)->Arg(256);
@@ -229,7 +233,7 @@ void BM_RsDecode(benchmark::State& state) {
       k, std::vector<coding::Gf65536::Symbol>(4));
   for (auto& m : msgs)
     for (auto& s : m) s = static_cast<coding::Gf65536::Symbol>(rng.next_below(65536));
-  coding::ReedSolomon rs(k, 4);
+  coding::ReedSolomon<coding::Gf65536> rs(k, 4);
   const auto packets = rs.encode(msgs, static_cast<std::uint32_t>(k));
   for (auto _ : state) benchmark::DoNotOptimize(rs.decode(packets));
 }

@@ -26,8 +26,8 @@ int main() {
   // Plan A: adaptive routing -- resend each chunk until every receiver
   // has it (the beacon gets perfect feedback, the best case for routing).
   radio::RadioNetwork routing_net(star.graph,
-                                  radio::FaultModel::receiver(kLossRate),
-                                  Rng(1));
+                                  radio::ChannelModel::receiver(kLossRate),
+                                  nullptr, Rng(1));
   const auto routing = core::run_star_adaptive_routing(
       routing_net, star, kChunks, 100'000'000);
   std::cout << "adaptive routing:  " << routing.rounds << " rounds ("
@@ -38,8 +38,8 @@ int main() {
   const auto packet_count =
       core::rs_packet_count(kChunks, kReceivers + 1, kLossRate);
   radio::RadioNetwork coding_net(star.graph,
-                                 radio::FaultModel::receiver(kLossRate),
-                                 Rng(2));
+                                 radio::ChannelModel::receiver(kLossRate),
+                                 nullptr, Rng(2));
   const auto coding =
       core::run_star_rs_coding(coding_net, star, kChunks, packet_count);
   std::cout << "Reed-Solomon:      " << coding.rounds << " rounds ("
@@ -56,9 +56,12 @@ int main() {
   for (auto& c : chunks)
     for (auto& s : c)
       s = static_cast<coding::Gf65536::Symbol>(rng.next_below(65536));
-  coding::ReedSolomon rs(kChunks, 8);
+  // The codec is templated on its field; GF(2^16) leaves room for the
+  // packet_count evaluation points this demo needs.
+  using Codec = coding::ReedSolomon<coding::Gf65536>;
+  Codec rs(kChunks, 8);
   auto packets = rs.encode(chunks, static_cast<std::uint32_t>(packet_count));
-  std::vector<coding::RsPacket> survivors;
+  std::vector<Codec::Packet> survivors;
   for (auto& p : packets)
     if (rng.bernoulli(1.0 - kLossRate)) survivors.push_back(std::move(p));
   std::cout << "codec spot-check: " << survivors.size() << "/"

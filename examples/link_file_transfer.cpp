@@ -37,8 +37,8 @@ int main() {
 
   // --- Strategy 1: fixed repetition (no feedback).
   {
-    radio::RadioNetwork net(link, radio::FaultModel::receiver(kLossRate),
-                            Rng(1));
+    radio::RadioNetwork net(link, radio::ChannelModel::receiver(kLossRate),
+                            nullptr, Rng(1));
     const auto reps = core::link_nonadaptive_reps(kChunks, kLossRate);
     const auto r = core::run_link_nonadaptive_routing(net, kChunks, reps);
     std::cout << "repetition x" << reps << ":   " << r.rounds << " frames, "
@@ -47,8 +47,8 @@ int main() {
 
   // --- Strategy 2: stop-and-wait with perfect feedback.
   {
-    radio::RadioNetwork net(link, radio::FaultModel::receiver(kLossRate),
-                            Rng(2));
+    radio::RadioNetwork net(link, radio::ChannelModel::receiver(kLossRate),
+                            nullptr, Rng(2));
     const auto r =
         core::run_link_adaptive_routing(net, kChunks, 100 * kChunks);
     std::cout << "stop-and-wait:    " << r.rounds << " frames, "
@@ -57,12 +57,13 @@ int main() {
 
   // --- Strategy 3: Reed-Solomon streaming with real payload decode.
   {
-    radio::RadioNetwork net(link, radio::FaultModel::receiver(kLossRate),
-                            Rng(3));
-    coding::ReedSolomon rs(kChunks, kSymbolsPerChunk);
+    radio::RadioNetwork net(link, radio::ChannelModel::receiver(kLossRate),
+                            nullptr, Rng(3));
+    using Codec = coding::ReedSolomon<coding::Gf65536>;
+    Codec rs(kChunks, kSymbolsPerChunk);
     const auto frame_count = core::link_rs_packet_count(kChunks, kLossRate);
 
-    std::vector<coding::RsPacket> received;
+    std::vector<Codec::Packet> received;
     std::int64_t frames_sent = 0;
     for (std::int64_t j = 0; j < frame_count; ++j) {
       auto pkt = rs.encode_packet(file, static_cast<std::uint32_t>(j));
@@ -78,7 +79,7 @@ int main() {
       if (!deliveries.empty()) {
         // Decode the wire bytes back into a packet at the receiver.
         const auto& bytes = *deliveries.front().packet.payload;
-        coding::RsPacket back;
+        Codec::Packet back;
         back.index = static_cast<std::uint32_t>(deliveries.front().packet.id);
         back.symbols.resize(bytes.size() / 2);
         for (std::size_t s = 0; s < back.symbols.size(); ++s)

@@ -41,7 +41,10 @@ int main() {
   const sim::ProtocolContext ctx{grid, scenario, sim::Tuning{}};
   const auto decay = sim::ProtocolRegistry::global().create("decay", ctx);
 
-  radio::RadioNetwork net(grid, scenario.fault, Rng(99));
+  // scenario.channel is the ChannelModel the fault spec names (here
+  // ChannelModel::receiver(0.3)); the geometry argument is only needed by
+  // the SINR channel, so the edge-fault run passes nullptr.
+  radio::RadioNetwork net(grid, scenario.channel, nullptr, Rng(99));
   Rng algorithm_rng(7);
   radio::TraceRecorder trace;
   const sim::Outcome result = decay->run(net, algorithm_rng, &trace);

@@ -5,7 +5,8 @@
 // Used by the random linear network coding layer (Lemmas 12/13), where a
 // byte-sized field keeps per-packet coefficient vectors compact while the
 // probability that a random combination is dependent stays below 1/255 per
-// deficient dimension.
+// deficient dimension, and by the byte-symbol Reed-Solomon codec
+// (coding/reed_solomon.hpp).
 #pragma once
 
 #include <array>
@@ -19,6 +20,7 @@ class Gf256 {
  public:
   using Symbol = std::uint8_t;
   static constexpr int kFieldSize = 256;
+  static constexpr std::uint32_t kGroupOrder = 255;
 
   /// Tables are built once, at first use.
   static const Gf256& instance();
@@ -43,6 +45,10 @@ class Gf256 {
   }
 
   Symbol pow(Symbol a, std::uint32_t e) const;
+
+  /// alpha^i for the fixed generator alpha = 2; distinct for
+  /// 0 <= i < kGroupOrder (used as Reed-Solomon evaluation points).
+  Symbol alpha_pow(std::uint32_t i) const { return exp_[i % kGroupOrder]; }
 
   /// a + b * c, the inner-product workhorse.
   Symbol mul_add(Symbol a, Symbol b, Symbol c) const { return a ^ mul(b, c); }

@@ -41,7 +41,7 @@ MultiRunResult run_layered_pipeline_routing(radio::RadioNetwork& net,
   const std::int32_t phase = params.decay_phase > 0
                                  ? params.decay_phase
                                  : Decay::default_phase_length(n);
-  const double p = net.fault_model().effective_loss();
+  const double p = net.channel().effective_loss();
   const std::int64_t meta_cap =
       params.meta_round_cap > 0
           ? params.meta_round_cap

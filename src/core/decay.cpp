@@ -66,7 +66,7 @@ std::unique_ptr<RoundStepper> Decay::make_stepper(
 BroadcastRunResult Decay::run(radio::RadioNetwork& net, radio::NodeId source,
                               Rng& rng, radio::TraceRecorder* trace) const {
   auto stepper = make_stepper(net.graph().node_count(), source,
-                              net.fault_model().effective_loss(), trace);
+                              net.channel().effective_loss(), trace);
   return run_stepped(*stepper, net, rng);
 }
 

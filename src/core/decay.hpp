@@ -41,7 +41,7 @@ class Decay {
 
   /// The schedule as a RoundStepper (core/stepper.hpp): `effective_loss`
   /// feeds the default budget exactly as run() derives it from the
-  /// network's fault model.
+  /// network's channel.
   std::unique_ptr<RoundStepper> make_stepper(
       std::int32_t node_count, radio::NodeId source, double effective_loss,
       radio::TraceRecorder* trace = nullptr) const;

@@ -54,7 +54,7 @@ class Fastbc {
                          radio::TraceRecorder* trace = nullptr) const;
 
   /// The schedule as a RoundStepper; `effective_loss` feeds the default
-  /// budget exactly as run() derives it from the network's fault model.
+  /// budget exactly as run() derives it from the network's channel.
   /// The algorithm object (it owns the GBST) must outlive the stepper.
   std::unique_ptr<RoundStepper> make_stepper(
       double effective_loss, radio::TraceRecorder* trace = nullptr) const;

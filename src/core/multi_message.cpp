@@ -55,7 +55,7 @@ MultiRunResult RlncBroadcast::run_impl(
   NRN_EXPECTS(&net.graph() == graph_, "network built on a different graph");
   const std::int32_t n = graph_->node_count();
   const auto k = params_.k;
-  const double p = net.fault_model().effective_loss();
+  const double p = net.channel().effective_loss();
   const std::int32_t log_n = ceil_log2(n);
 
   const std::int64_t budget =

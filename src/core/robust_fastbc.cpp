@@ -121,7 +121,7 @@ std::unique_ptr<RoundStepper> RobustFastbc::make_stepper(
 BroadcastRunResult RobustFastbc::run(radio::RadioNetwork& net, Rng& rng,
                                      radio::TraceRecorder* trace) const {
   NRN_EXPECTS(&net.graph() == graph_, "network built on a different graph");
-  auto stepper = make_stepper(net.fault_model().effective_loss(), trace);
+  auto stepper = make_stepper(net.channel().effective_loss(), trace);
   return run_stepped(*stepper, net, rng);
 }
 

@@ -23,7 +23,7 @@ MultiRunResult run_wct_rs_coding(radio::RadioNetwork& net,
   const std::int64_t k = params.k;
   const auto& senders = wct.senders();
   const auto sender_count = static_cast<std::int64_t>(senders.size());
-  const double p = net.fault_model().effective_loss();
+  const double p = net.channel().effective_loss();
   const std::int32_t phase =
       params.decay_phase > 0
           ? params.decay_phase

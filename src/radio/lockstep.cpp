@@ -7,14 +7,10 @@
 
 namespace nrn::radio {
 
-LockstepNetwork::LockstepNetwork(const graph::Graph& g, FaultModel fault_model)
-    : LockstepNetwork(g, ChannelModel::edge_fault(fault_model), nullptr) {}
-
 LockstepNetwork::LockstepNetwork(const graph::Graph& g,
                                  const ChannelModel& channel,
                                  const graph::Geometry* geometry)
     : graph_(&g),
-      fault_model_(channel.fault),
       channel_(channel),
       geometry_(geometry) {
   const auto n = static_cast<std::size_t>(g.node_count());
@@ -26,25 +22,19 @@ LockstepNetwork::LockstepNetwork(const graph::Graph& g,
   reset(channel);
 }
 
-void LockstepNetwork::reset(FaultModel fault_model) {
-  reset(ChannelModel::edge_fault(fault_model));
-}
-
 void LockstepNetwork::reset(const ChannelModel& channel) {
-  if (!(channel.sinr == channel_.sinr)) gain_table_valid_ = false;
+  if (channel.sinr() != channel_.sinr()) gain_table_valid_ = false;
   channel_ = channel;
-  sinr_ = channel.kind == ChannelKind::kSinr;
-  // Mirrors RadioNetwork::reset: under SINR the edge-fault layer is inert
-  // and no coins are priced, so the lanes' rng streams are never drawn.
-  fault_model_ = sinr_ ? FaultModel::faultless() : channel.fault;
-  if (sinr_ && !gain_table_valid_) {
+  if (!channel.is_edge_fault() && !gain_table_valid_) {
     NRN_EXPECTS(geometry_ != nullptr, "sinr channel requires node geometry");
-    build_sinr_gain_table(*graph_, *geometry_, channel_.sinr.alpha, gain_row_,
+    build_sinr_gain_table(*graph_, *geometry_, channel_.sinr().alpha, gain_row_,
                           gain_);
     gain_table_valid_ = true;
   }
-  const double ps = sender_fault_probability(fault_model_);
-  const double pr = receiver_fault_probability(fault_model_);
+  // Under SINR both coin probabilities are 0, so no coins are priced and
+  // the lanes' rng streams are never drawn from.
+  const double ps = channel.sender_probability();
+  const double pr = channel.receiver_probability();
   sender_coins_ = ps > 0.0;
   receiver_coins_ = pr > 0.0;
   sender_threshold_ = Rng::coin_threshold(ps);
@@ -148,7 +138,7 @@ void LockstepNetwork::run_round(unsigned lanes) {
     }
   }
 
-  if (sinr_) {
+  if (!channel_.is_edge_fault()) {
     // SINR route: the shared gain pass replaces the once/twice collision
     // accounting; lanes are resolved inside, so skip straight to the
     // per-lane bookkeeping tail.
@@ -255,7 +245,7 @@ void LockstepNetwork::run_round_sinr() {
   // run in ascending neighbor id, exactly the scalar sinr_decode order,
   // so the floating-point sums (and hence deliveries) are bit-identical
   // to scalar trials.
-  const SinrParams& p = channel_.sinr;
+  const SinrParams& p = channel_.sinr();
   const NodeId n = graph_->node_count();
   for (NodeId v = 0; v < n; ++v) {
     const auto vi = static_cast<std::size_t>(v);

@@ -21,7 +21,7 @@
 // the FASTBC family broadcast one message and read receiver-id spans).
 // Protocols that need packet identity or payloads run scalar.
 //
-// Channel models: under a kSinr channel (radio/channel_model.hpp) the
+// Channel models: under the SINR channel (radio/channel_model.hpp) the
 // lanes share the gain pass the way they share adjacency -- one touch
 // pass over the union of broadcasters, then one ascending row walk per
 // touched listener accumulating all eight lanes' interference sums at
@@ -40,7 +40,6 @@
 #include "graph/geometry.hpp"
 #include "graph/graph.hpp"
 #include "radio/channel_model.hpp"
-#include "radio/fault_model.hpp"
 #include "radio/network.hpp"
 #include "radio/staging.hpp"
 
@@ -53,30 +52,21 @@ class LockstepNetwork {
   static constexpr int kMaxLanes = 8;
   using LaneMask = std::uint8_t;
 
-  /// The graph must outlive the bank.  Equivalent to the ChannelModel
-  /// constructor with an edge-fault channel.
-  LockstepNetwork(const graph::Graph& g, FaultModel fault_model);
-
-  /// General form: any channel model.  A kSinr channel requires
+  /// The graph must outlive the bank.  A SINR channel requires
   /// `geometry` (kept alive by the caller alongside the graph).
   LockstepNetwork(const graph::Graph& g, const ChannelModel& channel,
                   const graph::Geometry* geometry);
 
-  LockstepNetwork(graph::Graph&&, FaultModel) = delete;
   LockstepNetwork(graph::Graph&&, const ChannelModel&,
                   const graph::Geometry*) = delete;
 
   /// Rearms the bank for a fresh batch of trials on the same graph: new
-  /// fault model, all lanes dropped, scratch kept.
-  void reset(FaultModel fault_model);
-
-  /// Channel-general reset; reuses the gain table when the SINR
-  /// parameters are unchanged.
+  /// channel, all lanes dropped, scratch kept.  Reuses the gain table when
+  /// the SINR parameters are unchanged.
   void reset(const ChannelModel& channel);
 
   const graph::Graph& graph() const { return *graph_; }
   const ChannelModel& channel() const { return channel_; }
-  const FaultModel& fault_model() const { return fault_model_; }
 
   /// Adds a trial lane seeded with its own fault-coin stream; returns the
   /// lane index.  At most kMaxLanes lanes per reset.
@@ -150,13 +140,12 @@ class LockstepNetwork {
   /// delivery candidates, filling receivers_[lane].
   void resolve_lane(int lane);
 
-  /// The kSinr round body: shared touch pass plus one ascending row walk
+  /// The SINR round body: shared touch pass plus one ascending row walk
   /// per touched listener resolving all lanes at once.  Fills receivers_
   /// directly (no coin resolve follows).
   void run_round_sinr();
 
   const graph::Graph* graph_;
-  FaultModel fault_model_;
   ChannelModel channel_;
   bool sender_coins_ = false;
   bool receiver_coins_ = false;
@@ -166,7 +155,6 @@ class LockstepNetwork {
   // SINR channel state: same listener-row gain table as the scalar engine
   // (radio/sinr_gain.hpp), built lazily and reused across resets with
   // unchanged parameters.
-  bool sinr_ = false;
   const graph::Geometry* geometry_ = nullptr;
   bool gain_table_valid_ = false;
   std::vector<std::int64_t> gain_row_;

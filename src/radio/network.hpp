@@ -24,10 +24,11 @@
 //     (paths and unions of subpaths): reception becomes word-parallel bit
 //     algebra on a broadcaster bitmask, candidates and collisions falling
 //     out of shifts, masks, and popcounts 64 listeners at a time.
-// Auto selection prefers adjacent when the topology qualifies, otherwise
-// dense once broadcasters times the graph's average degree reaches
-// kDenseWorkFactor * n (see run_round), otherwise sparse; set_kernel can
-// force any of them for tests and benchmarks.
+// Auto selection prefers adjacent when the topology qualifies (edge-fault
+// channels only; see below), otherwise dense once broadcasters times the
+// graph's average degree reaches kDenseWorkFactor * n (see run_round),
+// otherwise sparse; set_kernel can force any of them for tests and
+// benchmarks.
 //
 // v4 coin-tape contract (deterministic given the engine seed; asserted in
 // tests/test_engine_kernels.cpp):
@@ -56,15 +57,16 @@
 // separate receiver salt; v4 collapses a round's fault randomness to a
 // single draw.  Record/shard/cache formats bumped to v5 -- docs/formats.md.)
 //
-// Channel models: the contract above describes the kEdgeFault channel.
-// Under a kSinr channel (radio/channel_model.hpp) reception is resolved
+// Channel models: the contract above describes the edge-fault channels.
+// Under the SINR channel (radio/channel_model.hpp) reception is resolved
 // from summed transmitter gains instead of collision + coins; the channel
 // is deterministic, so NO salts are ever drawn -- point 5 of the contract
 // degenerates to every round, and the engine's rng stream is untouched.
 // Interference sums are accumulated in ascending neighbor id within each
-// listener's CSR row in every kernel (scalar sparse/dense/adjacent and the
-// lockstep bank), so floating-point results are bit-identical across
-// kernels.
+// listener's CSR row in every kernel (scalar sparse/dense and the lockstep
+// bank), so floating-point results are bit-identical across kernels.  The
+// adjacent kernel serves edge-fault channels only: under SINR a
+// consecutive-id topology stays on the sparse/dense routes.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +77,6 @@
 #include "graph/geometry.hpp"
 #include "graph/graph.hpp"
 #include "radio/channel_model.hpp"
-#include "radio/fault_model.hpp"
 #include "radio/packet.hpp"
 
 namespace nrn::radio {
@@ -198,7 +199,7 @@ struct RoundStats {
   std::int64_t sender_fault_losses = 0;
   std::int64_t receiver_fault_losses = 0;
   /// Listeners that heard >= 1 transmitter but decoded none because the
-  /// SINR threshold failed (kSinr channel only; 0 under kEdgeFault).
+  /// SINR threshold failed (SINR channel only; 0 under edge faults).
   std::int64_t interference_losses = 0;
 
   friend bool operator==(const RoundStats&, const RoundStats&) = default;
@@ -225,38 +226,27 @@ class RadioNetwork {
   /// several times anyway.
   static constexpr std::int64_t kDenseWorkFactor = 1;
 
-  /// The graph must outlive the network.  Equivalent to the ChannelModel
-  /// constructor with an edge-fault channel.
-  RadioNetwork(const graph::Graph& g, FaultModel fault_model, Rng rng);
-
-  /// General form: any channel model.  A kSinr channel requires `geometry`
-  /// (node placement matching the graph; caller keeps it alive alongside
-  /// the graph); kEdgeFault ignores it.
+  /// The graph must outlive the network.  A SINR channel requires
+  /// `geometry` (node placement matching the graph; caller keeps it alive
+  /// alongside the graph); edge-fault channels ignore it.
   RadioNetwork(const graph::Graph& g, const ChannelModel& channel,
                const graph::Geometry* geometry, Rng rng);
 
   /// Binding a temporary graph would dangle; force callers to keep the
   /// topology alive.
-  RadioNetwork(graph::Graph&&, FaultModel, Rng) = delete;
   RadioNetwork(graph::Graph&&, const ChannelModel&, const graph::Geometry*,
                Rng) = delete;
 
-  /// Rearms the network for a fresh trial on the same graph: new fault
-  /// model and coin stream, zeroed counters and round clock -- without
+  /// Rearms the network for a fresh trial on the same graph: new channel
+  /// and coin stream, zeroed counters and round clock -- without
   /// reallocating the O(n) scratch.  O(1); the workhorse of the Driver's
-  /// per-worker TrialWorkspace reuse.
-  void reset(FaultModel fault_model, Rng rng);
-
-  /// Channel-general reset.  Reuses the gain table when the SINR
-  /// parameters are unchanged (the Driver resets an identical channel per
-  /// trial), so steady-state trials stay O(1) here too.
+  /// per-worker TrialWorkspace reuse.  Reuses the gain table when the
+  /// SINR parameters are unchanged (the Driver resets an identical
+  /// channel per trial), so steady-state SINR trials stay O(1) here too.
   void reset(const ChannelModel& channel, Rng rng);
 
   const graph::Graph& graph() const { return *graph_; }
   const ChannelModel& channel() const { return channel_; }
-  /// Edge-fault parameterization; faultless under a kSinr channel, so
-  /// protocol budget formulas see zero edge loss.
-  const FaultModel& fault_model() const { return fault_model_; }
 
   /// True iff every edge of `g` joins consecutive node ids (the topology
   /// is a disjoint union of id-contiguous subpaths), i.e. the adjacent
@@ -271,18 +261,20 @@ class RadioNetwork {
   }
 
   /// Forces a round kernel (kAuto re-enables the heuristics; kAdjacent
-  /// requires a consecutive-id topology).  Kernel choice never changes
-  /// results; this exists for tests and benchmarks.  Must be called with
-  /// no broadcasts staged: the staging representation (bitmask plan vs
-  /// node slots) is chosen per kernel route, so it cannot change mid-round.
+  /// requires a consecutive-id topology and an edge-fault channel).
+  /// Kernel choice never changes results; this exists for tests and
+  /// benchmarks.  Must be called with no broadcasts staged: the staging
+  /// representation (bitmask plan vs node slots) is chosen per kernel
+  /// route, so it cannot change mid-round.
   void set_kernel(Kernel kernel) {
     NRN_EXPECTS(plan_senders_.empty(),
                 "set_kernel with broadcasts already staged");
     NRN_EXPECTS(kernel != Kernel::kAdjacent || adjacent_ok_,
                 "adjacent kernel forced on a non-consecutive-id topology");
+    NRN_EXPECTS(kernel != Kernel::kAdjacent || channel_.is_edge_fault(),
+                "adjacent kernel forced under the sinr channel");
     kernel_ = kernel;
-    use_bitmask_plan_ = adjacent_ok_ && (kernel == Kernel::kAuto ||
-                                         kernel == Kernel::kAdjacent);
+    use_bitmask_plan_ = bitmask_route();
   }
 
   /// Stages node `u` to broadcast `packet` this round.  A node may be
@@ -368,12 +360,11 @@ class RadioNetwork {
   void run_round_sparse();
   void run_round_dense();
   void run_round_adjacent();
-  // SINR interference routes, one per staging representation / scan shape
-  // (see run_round for selection).  All accumulate each listener's
-  // interference sum in ascending neighbor id.
+  // SINR interference routes, one per scan shape (see run_round for
+  // selection).  Both accumulate each listener's interference sum in
+  // ascending neighbor id.
   void run_round_sinr_sparse();
   void run_round_sinr_dense();
-  void run_round_sinr_adjacent();
 
   /// Decodes one listener under the SINR rule: walks its CSR row in
   /// ascending neighbor id, sums the broadcasting neighbors' gains, and
@@ -419,22 +410,23 @@ class RadioNetwork {
   /// payload-carrying packet.
   void materialize_plan_payloads();
 
+  /// The staging representation the current kernel and channel resolve
+  /// to: the broadcaster bitmask iff the adjacent kernel will run.
+  bool bitmask_route() const {
+    return adjacent_ok_ && channel_.is_edge_fault() &&
+           (kernel_ == Kernel::kAuto || kernel_ == Kernel::kAdjacent);
+  }
+
   const graph::Graph* graph_;
-  FaultModel fault_model_;
   ChannelModel channel_;
   Rng rng_;
 
-  // SINR channel state.  sinr_ mirrors channel_.kind so the hot path
-  // tests one bool; the gain table is built lazily on the first SINR
+  // SINR channel state: the gain table is built lazily on the first SINR
   // reset and reused while the parameters and geometry stay unchanged.
-  bool sinr_ = false;
   const graph::Geometry* geometry_ = nullptr;
   bool gain_table_valid_ = false;
   std::vector<std::int64_t> gain_row_;  // CSR row offsets (n + 1)
   std::vector<double> gain_;            // per directed edge, listener rows
-  // Adjacent-route gain shortcuts: gain at listener v from v-1 / v+1.
-  std::vector<double> gain_left_;
-  std::vector<double> gain_right_;
 
   // Fixed-point coin thresholds (v4 tape: u64 compares, no doubles) and
   // this round's tweaked mix64 salts.
@@ -460,9 +452,10 @@ class RadioNetwork {
   // per-sender after use so sparse rounds never pay O(n)).
   bool adjacent_ok_ = false;
   // True when the adjacent kernel is the resolved round route (eligible
-  // topology and kAuto or kAdjacent): staging then records broadcasters
-  // in bcast_mask_ + plan_pos_ (one bit set and one u32 store per stage)
-  // instead of the 16-byte node slots the sparse/dense kernels read.
+  // topology, edge-fault channel, and kAuto or kAdjacent; bitmask_route):
+  // staging then records broadcasters in bcast_mask_ + plan_pos_ (one bit
+  // set and one u32 store per stage) instead of the 16-byte node slots the
+  // sparse/dense kernels read.
   bool use_bitmask_plan_ = false;
   std::vector<std::uint32_t> plan_pos_;
   std::vector<std::uint64_t> bcast_mask_;

@@ -96,7 +96,7 @@ MetricValue progress_value(double p) {
 }
 
 /// Folds one trial's TraceRecorder into the outcome's series map.  Under a
-/// kSinr channel the per-round interference losses are traced too; the
+/// SINR channel the per-round interference losses are traced too; the
 /// series is absent for edge-fault channels (where it would be all zeros),
 /// so edge-fault traces are byte-identical to pre-channel runs.
 void fold_trace(Outcome& run, const radio::TraceRecorder& trace, bool sinr) {

@@ -127,7 +127,7 @@ struct DriverOptions {
 /// slot runs, reset (O(1)) instead of reallocated (O(n)) per trial.
 class TrialWorkspace {
  public:
-  /// `geometry` must be non-null for a kSinr channel and outlive the
+  /// `geometry` must be non-null for a SINR channel and outlive the
   /// workspace (the Driver keeps both alive for the whole experiment).
   radio::RadioNetwork& acquire(const graph::Graph& graph,
                                const radio::ChannelModel& channel,

@@ -33,7 +33,7 @@ class DecayProtocol final : public BroadcastProtocol {
   explicit DecayProtocol(const ProtocolContext& ctx)
       : source_(ctx.scenario.source),
         node_count_(ctx.graph.node_count()),
-        effective_loss_(ctx.scenario.fault.effective_loss()),
+        effective_loss_(ctx.scenario.channel.effective_loss()),
         algo_(core::DecayParams{ctx.tuning.decay_phase,
                                 ctx.tuning.max_rounds}) {}
 
@@ -62,7 +62,7 @@ class DecayProtocol final : public BroadcastProtocol {
 class FastbcProtocol final : public BroadcastProtocol {
  public:
   explicit FastbcProtocol(const ProtocolContext& ctx)
-      : effective_loss_(ctx.scenario.fault.effective_loss()),
+      : effective_loss_(ctx.scenario.channel.effective_loss()),
         algo_(ctx.graph, ctx.scenario.source,
               core::FastbcParams{ctx.tuning.rank_modulus,
                                  ctx.tuning.decay_phase,
@@ -100,14 +100,14 @@ core::RobustFastbcParams robust_params(const ProtocolContext& ctx) {
       ctx.tuning.window_multiplier != 0
           ? ctx.tuning.window_multiplier
           : core::RobustFastbc::recommended_window_multiplier(
-                ctx.scenario.fault.effective_loss());
+                ctx.scenario.channel.effective_loss());
   return params;
 }
 
 class RobustFastbcProtocol final : public BroadcastProtocol {
  public:
   explicit RobustFastbcProtocol(const ProtocolContext& ctx)
-      : effective_loss_(ctx.scenario.fault.effective_loss()),
+      : effective_loss_(ctx.scenario.channel.effective_loss()),
         algo_(ctx.graph, ctx.scenario.source, robust_params(ctx)) {}
 
   const std::string& name() const override {

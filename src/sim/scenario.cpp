@@ -298,7 +298,7 @@ graph::Graph TopologySpec::build(Rng& rng, graph::Geometry* geometry) const {
   bad_spec("unknown topology '" + kind + "'");
 }
 
-radio::FaultModel parse_fault_spec(const std::string& spec) {
+radio::ChannelModel parse_fault_spec(const std::string& spec) {
   const auto parts = split(spec, ':');
   if (parts.empty() || parts[0].empty()) bad_spec("empty fault spec");
   const std::string& kind = parts[0];
@@ -310,31 +310,31 @@ radio::FaultModel parse_fault_spec(const std::string& spec) {
   };
   if (kind == "none") {
     if (parts.size() != 1) bad_spec("fault 'none' takes no arguments");
-    return radio::FaultModel::faultless();
+    return radio::ChannelModel::faultless();
   }
   if (kind == "sender") {
     if (parts.size() != 2) bad_spec("fault 'sender' wants sender:p");
-    return radio::FaultModel::sender(prob_at(1));
+    return radio::ChannelModel::sender(prob_at(1));
   }
   if (kind == "receiver") {
     if (parts.size() != 2) bad_spec("fault 'receiver' wants receiver:p");
-    return radio::FaultModel::receiver(prob_at(1));
+    return radio::ChannelModel::receiver(prob_at(1));
   }
   if (kind == "combined") {
     if (parts.size() != 3) bad_spec("fault 'combined' wants combined:ps:pr");
-    return radio::FaultModel::combined(prob_at(1), prob_at(2));
+    return radio::ChannelModel::combined(prob_at(1), prob_at(2));
   }
   bad_spec("unknown fault model '" + kind + "'");
 }
 
 radio::ChannelModel parse_channel_spec(const std::string& spec,
-                                       const radio::FaultModel& fault) {
+                                       const radio::ChannelModel& fault) {
   const auto parts = split(spec, ':');
   if (parts.empty() || parts[0].empty()) bad_spec("empty channel spec");
   const std::string& kind = parts[0];
   if (kind == "none") {
     if (parts.size() != 1) bad_spec("channel 'none' takes no arguments");
-    return radio::ChannelModel::edge_fault(fault);
+    return fault;
   }
   if (kind == "sinr") {
     if (parts.size() != 4)
@@ -371,14 +371,14 @@ Scenario Scenario::parse(const std::string& topology_spec,
   Scenario sc;
   sc.topology = TopologySpec::parse(topology_spec);
   sc.fault_text = fault_spec;
-  sc.fault = parse_fault_spec(fault_spec);
+  const radio::ChannelModel fault = parse_fault_spec(fault_spec);
   sc.channel_text = channel_spec.empty() ? "none" : channel_spec;
-  sc.channel = parse_channel_spec(sc.channel_text, sc.fault);
+  sc.channel = parse_channel_spec(sc.channel_text, fault);
   if (!sc.channel.is_edge_fault()) {
     // SINR replaces the edge-fault layer (it prices no fault coins) and
     // needs node coordinates to price gains: reject contradictions at
     // parse time instead of deep inside the engine.
-    if (!sc.fault.is_faultless())
+    if (!fault.is_faultless())
       bad_spec("channel '" + sc.channel_text + "': cannot combine with fault '" +
                fault_spec + "'");
     if (!sc.topology.geometric())

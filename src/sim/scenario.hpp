@@ -41,7 +41,6 @@
 #include "graph/geometry.hpp"
 #include "graph/graph.hpp"
 #include "radio/channel_model.hpp"
-#include "radio/fault_model.hpp"
 
 namespace nrn::topology {
 struct WctParams;
@@ -100,14 +99,15 @@ struct TopologySpec {
   friend bool operator==(const TopologySpec&, const TopologySpec&) = default;
 };
 
-/// Parses a fault spec ("none", "sender:p", "receiver:p", "combined:ps:pr").
-radio::FaultModel parse_fault_spec(const std::string& spec);
+/// Parses a fault spec ("none", "sender:p", "receiver:p", "combined:ps:pr")
+/// into the edge-fault channel it names.
+radio::ChannelModel parse_fault_spec(const std::string& spec);
 
 /// Parses a channel spec ("none" or "sinr:alpha:noise:beta").  "none"
-/// yields an edge-fault channel carrying `fault`; parameter validation
-/// errors carry the full spec text, like the topology parser's.
+/// yields `fault`, the edge-fault channel of the fault spec; parameter
+/// validation errors carry the full spec text, like the topology parser's.
 radio::ChannelModel parse_channel_spec(const std::string& spec,
-                                       const radio::FaultModel& fault);
+                                       const radio::ChannelModel& fault);
 
 /// Every topology family name the grammar accepts, sorted.
 const std::vector<std::string>& topology_kinds();
@@ -115,11 +115,12 @@ const std::vector<std::string>& topology_kinds();
 /// A complete experiment scenario.
 struct Scenario {
   TopologySpec topology;
+  /// The spec texts; records and cache keys are built from these two.
   std::string fault_text = "none";
-  radio::FaultModel fault = radio::FaultModel::faultless();
   std::string channel_text = "none";
-  radio::ChannelModel channel =
-      radio::ChannelModel::edge_fault(radio::FaultModel::faultless());
+  /// The channel both texts parse to: the fault spec's edge-fault channel
+  /// when channel_text is "none", else the SINR channel.
+  radio::ChannelModel channel;
   graph::NodeId source = 0;
   std::int64_t k = 1;            ///< messages for multi-message protocols
   std::uint64_t seed = 1;        ///< master seed for graph + trials

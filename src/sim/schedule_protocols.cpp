@@ -48,7 +48,7 @@ core::TransformParams transform_params(const ProtocolContext& ctx) {
   params.eta = ctx.tuning.transform_eta > 0.0
                    ? ctx.tuning.transform_eta
                    : core::recommended_transform_eta(
-                         ctx.scenario.fault.effective_loss());
+                         ctx.scenario.channel.effective_loss());
   return params;
 }
 
@@ -88,7 +88,7 @@ class LinkProtocol final : public BroadcastProtocol {
     if (ctx.scenario.topology.kind != "link")
       throw SpecError(name_ + " needs the 'link' topology, got '" +
                       ctx.scenario.topology.text + "'");
-    const double loss = ctx.scenario.fault.effective_loss();
+    const double loss = ctx.scenario.channel.effective_loss();
     reps_ = loss > 0.0 ? core::link_nonadaptive_reps(k_, loss) : 1;
     packets_ = core::link_rs_packet_count(k_, loss);
     max_rounds_ =
@@ -146,7 +146,7 @@ class StarProtocol final : public BroadcastProtocol {
         mode_(mode),
         star_(star_for(ctx, name_)),
         k_(ctx.scenario.k) {
-    const double p = ctx.scenario.fault.effective_loss();
+    const double p = ctx.scenario.channel.effective_loss();
     const auto n = static_cast<std::int64_t>(star_.leaves.size());
     // Lemma 15 ablation: repetitions for per-leaf, per-message failure
     // below 1/(n k): p^r <= 1/(n k^2), i.e. r = ceil(log_{1/p}(n k^2)).
@@ -308,7 +308,7 @@ double coded_stream_bound(const TheoryContext& ctx) {
 
 double star_adaptive_bound(const TheoryContext& ctx) {
   // Lemma 15: log_{1/p} n rounds/message (last-of-n coupons).
-  const double p = ctx.scenario.fault.effective_loss();
+  const double p = ctx.scenario.channel.effective_loss();
   if (p <= 0.0) return kd(ctx);
   return kd(ctx) *
          std::max(1.0, std::log(star_leaves(ctx)) / std::log(1.0 / p));
@@ -317,7 +317,7 @@ double star_adaptive_bound(const TheoryContext& ctx) {
 double star_nonadaptive_bound(const TheoryContext& ctx) {
   // The repetition law the adapter implements: log_{1/p}(n k^2)
   // rounds/message (one round/message when faultless).
-  const double p = ctx.scenario.fault.effective_loss();
+  const double p = ctx.scenario.channel.effective_loss();
   if (p <= 0.0) return kd(ctx);
   return kd(ctx) *
          std::max(1.0, std::log(star_leaves(ctx) * kd(ctx) * kd(ctx)) /

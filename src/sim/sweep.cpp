@@ -260,7 +260,7 @@ SweepPlan SweepPlan::parse(const std::string& spec) {
   for (const auto& topology : plan.topologies) TopologySpec::parse(topology);
   for (const auto& fault : plan.faults) parse_fault_spec(fault);
   for (const auto& channel : plan.channels)
-    parse_channel_spec(channel, radio::FaultModel::faultless());
+    parse_channel_spec(channel, radio::ChannelModel::faultless());
   for (const auto& protocol : plan.protocols)
     if (protocol.empty()) bad_spec("empty protocol name in sweep plan");
 

@@ -58,7 +58,7 @@ TEST(SinrChannel, CaptureBeatsCollisionWhenTheStrongSignalClears) {
   EXPECT_EQ(net.last_round().interference_losses, 0);
 
   // The identical staging under the edge-fault channel: a collision.
-  RadioNetwork edge(fx.graph, FaultModel::faultless(), Rng(1));
+  RadioNetwork edge(fx.graph, ChannelModel::faultless(), nullptr, Rng(1));
   edge.set_broadcast(1, Packet{7});
   edge.set_broadcast(2, Packet{8});
   EXPECT_TRUE(edge.run_round().empty());
@@ -152,12 +152,14 @@ TEST(SinrChannel, ScalarKernelRoutesAgree) {
   }
 }
 
-TEST(SinrChannel, AdjacentRouteMatchesSparseOnAPathGeometry) {
-  // A path graph with hand-placed equally spaced nodes qualifies for the
-  // word-parallel adjacent route; its gl/gr shortcut gains must reproduce
-  // the sparse route's row walk bit for bit.
+TEST(SinrChannel, PathGeometryMatchesAcrossSparseAndDense) {
+  // A path graph with hand-placed equally spaced nodes has consecutive-id
+  // adjacency, so an edge-fault channel would take the word-parallel
+  // adjacent kernel.  Under SINR it stays on the row-walk routes: auto,
+  // sparse and dense must agree bit for bit.
   constexpr NodeId kN = 67;  // odd and > 64: exercises the partial word
   const Graph g = graph::make_path(kN);
+  ASSERT_TRUE(RadioNetwork::consecutive_adjacency(g));
   Geometry geo;
   for (NodeId u = 0; u < kN; ++u) {
     geo.x.push_back(0.37 * u);
@@ -165,22 +167,53 @@ TEST(SinrChannel, AdjacentRouteMatchesSparseOnAPathGeometry) {
     geo.power.push_back(u % 2 == 0 ? 1.0 : 1.5);
   }
   const auto channel = ChannelModel::sinr_channel(3.0, 0.005, 0.9);
-  RadioNetwork adjacent(g, channel, &geo, Rng(1));
+  RadioNetwork automatic(g, channel, &geo, Rng(1));
   RadioNetwork sparse(g, channel, &geo, Rng(1));
-  adjacent.set_kernel(RadioNetwork::Kernel::kAdjacent);
+  RadioNetwork dense(g, channel, &geo, Rng(1));
   sparse.set_kernel(RadioNetwork::Kernel::kSparse);
+  dense.set_kernel(RadioNetwork::Kernel::kDense);
   Rng plan_rng(23);
+  std::int64_t delivered = 0;
   for (int round = 0; round < 30; ++round) {
     for (NodeId u = 0; u < kN; ++u) {
       if (!plan_rng.bernoulli(0.4)) continue;
-      adjacent.set_broadcast(u, Packet{u});
+      automatic.set_broadcast(u, Packet{u});
       sparse.set_broadcast(u, Packet{u});
+      dense.set_broadcast(u, Packet{u});
     }
-    const auto ra = receivers_of(adjacent.run_round());
+    const auto ra = receivers_of(automatic.run_round());
     const auto rs = receivers_of(sparse.run_round());
+    const auto rd = receivers_of(dense.run_round());
     ASSERT_EQ(ra, rs) << "round " << round;
-    ASSERT_EQ(adjacent.last_round(), sparse.last_round()) << "round " << round;
+    ASSERT_EQ(rs, rd) << "round " << round;
+    ASSERT_EQ(automatic.last_round(), sparse.last_round()) << "round " << round;
+    ASSERT_EQ(sparse.last_round(), dense.last_round()) << "round " << round;
+    delivered += sparse.last_round().deliveries;
   }
+  EXPECT_GT(delivered, 0);
+}
+
+TEST(SinrChannel, AdjacentKernelIsRejected) {
+  // The adjacent kernel prices the edge-fault rule only: forcing it under
+  // SINR, or resetting a network forced to it onto SINR, is a contract
+  // violation rather than a silent fallback.
+  constexpr NodeId kN = 8;
+  const Graph g = graph::make_path(kN);
+  Geometry geo;
+  for (NodeId u = 0; u < kN; ++u) {
+    geo.x.push_back(0.5 * u);
+    geo.y.push_back(0.0);
+    geo.power.push_back(1.0);
+  }
+  const auto channel = ChannelModel::sinr_channel(2.0, 0.01, 1.0);
+  RadioNetwork sinr(g, channel, &geo, Rng(1));
+  EXPECT_THROW(sinr.set_kernel(RadioNetwork::Kernel::kAdjacent),
+               ContractViolation);
+  RadioNetwork edge(g, ChannelModel::receiver(0.2), &geo, Rng(1));
+  edge.set_kernel(RadioNetwork::Kernel::kAdjacent);
+  EXPECT_THROW(edge.reset(channel, Rng(2)), ContractViolation);
+  edge.set_kernel(RadioNetwork::Kernel::kAuto);
+  EXPECT_NO_THROW(edge.reset(channel, Rng(2)));
 }
 
 TEST(SinrChannel, LockstepLanesMatchScalarRoundByRound) {

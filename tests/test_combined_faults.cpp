@@ -14,14 +14,14 @@
 namespace nrn::core {
 namespace {
 
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
-const FaultModel kCombined = FaultModel::combined(0.3, 0.3);
+const ChannelModel kCombined = ChannelModel::combined(0.3, 0.3);
 
 TEST(CombinedFaults, DecayCompletes) {
   const auto g = graph::make_path(96);
-  RadioNetwork net(g, kCombined, Rng(1));
+  RadioNetwork net(g, kCombined, nullptr, Rng(1));
   Rng rng(2);
   EXPECT_TRUE(Decay().run(net, 0, rng).completed);
 }
@@ -30,7 +30,7 @@ TEST(CombinedFaults, DecayOnGridAndGnp) {
   Rng grng(3);
   for (const auto& g : {graph::make_grid(9, 9),
                         graph::make_connected_gnp(100, 0.08, grng)}) {
-    RadioNetwork net(g, kCombined, Rng(4));
+    RadioNetwork net(g, kCombined, nullptr, Rng(4));
     Rng rng(5);
     EXPECT_TRUE(Decay().run(net, 0, rng).completed);
   }
@@ -39,7 +39,7 @@ TEST(CombinedFaults, DecayOnGridAndGnp) {
 TEST(CombinedFaults, FastbcCompletes) {
   const auto g = graph::make_path(96);
   Fastbc algo(g, 0);
-  RadioNetwork net(g, kCombined, Rng(6));
+  RadioNetwork net(g, kCombined, nullptr, Rng(6));
   Rng rng(7);
   EXPECT_TRUE(algo.run(net, rng).completed);
 }
@@ -50,7 +50,7 @@ TEST(CombinedFaults, RobustFastbcCompletes) {
   params.window_multiplier =
       RobustFastbc::recommended_window_multiplier(kCombined.effective_loss());
   RobustFastbc algo(g, 0, params);
-  RadioNetwork net(g, kCombined, Rng(8));
+  RadioNetwork net(g, kCombined, nullptr, Rng(8));
   Rng rng(9);
   EXPECT_TRUE(algo.run(net, rng).completed);
 }
@@ -60,7 +60,7 @@ TEST(CombinedFaults, RlncDecayPatternCompletes) {
   MultiMessageParams params;
   params.k = 8;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, kCombined, Rng(10));
+  RadioNetwork net(g, kCombined, nullptr, Rng(10));
   Rng rng(11);
   EXPECT_TRUE(algo.run(net, rng).completed);
 }
@@ -72,7 +72,7 @@ TEST(CombinedFaults, RlncRobustPatternCompletesWithPayloads) {
   params.block_len = 3;
   params.pattern = MultiPattern::kRobustFastbc;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, kCombined, Rng(12));
+  RadioNetwork net(g, kCombined, nullptr, Rng(12));
   Rng rng(13);
   std::vector<std::vector<std::uint8_t>> msgs(4, std::vector<std::uint8_t>(3));
   Rng payload_rng(14);
@@ -83,7 +83,7 @@ TEST(CombinedFaults, RlncRobustPatternCompletesWithPayloads) {
 
 TEST(CombinedFaults, StarCodingSizedByEffectiveLoss) {
   const auto star = topology::make_star(256);
-  RadioNetwork net(star.graph, kCombined, Rng(15));
+  RadioNetwork net(star.graph, kCombined, nullptr, Rng(15));
   const std::int64_t k = 64;
   const auto m = rs_packet_count(k, 257, kCombined.effective_loss());
   EXPECT_TRUE(run_star_rs_coding(net, star, k, m).completed);
@@ -91,7 +91,7 @@ TEST(CombinedFaults, StarCodingSizedByEffectiveLoss) {
 
 TEST(CombinedFaults, LinkAdaptiveRpmMatchesEffectiveLoss) {
   const auto g = graph::make_single_link();
-  RadioNetwork net(g, kCombined, Rng(16));
+  RadioNetwork net(g, kCombined, nullptr, Rng(16));
   const std::int64_t k = 2048;
   const auto r = run_link_adaptive_routing(net, k, 100 * k);
   ASSERT_TRUE(r.completed);
@@ -102,7 +102,7 @@ TEST(CombinedFaults, LinkAdaptiveRpmMatchesEffectiveLoss) {
 TEST(CombinedFaults, DegeneratesToSingleModels) {
   // combined(p, 0) must behave like sender(p): all-or-nothing on a star.
   const auto g = graph::make_star(10);
-  RadioNetwork net(g, FaultModel::combined(0.5, 0.0), Rng(17));
+  RadioNetwork net(g, ChannelModel::combined(0.5, 0.0), nullptr, Rng(17));
   int partial = 0;
   for (int r = 0; r < 1000; ++r) {
     net.set_broadcast(0, radio::Packet{r});

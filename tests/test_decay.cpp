@@ -16,26 +16,26 @@ using graph::make_connected_gnp;
 using graph::make_grid;
 using graph::make_path;
 using graph::make_star;
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
-BroadcastRunResult run_once(const graph::Graph& g, FaultModel fm,
+BroadcastRunResult run_once(const graph::Graph& g, ChannelModel fm,
                             std::uint64_t seed, DecayParams params = {}) {
-  RadioNetwork net(g, fm, Rng(seed));
+  RadioNetwork net(g, fm, nullptr, Rng(seed));
   Rng rng(seed ^ 0xabcdef);
   return Decay(params).run(net, 0, rng);
 }
 
 TEST(Decay, CompletesOnPathFaultless) {
   const auto g = make_path(64);
-  const auto r = run_once(g, FaultModel::faultless(), 1);
+  const auto r = run_once(g, ChannelModel::faultless(), 1);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.informed, 64);
 }
 
 TEST(Decay, CompletesOnStarFaultless) {
   const auto g = make_star(100);
-  const auto r = run_once(g, FaultModel::faultless(), 2);
+  const auto r = run_once(g, ChannelModel::faultless(), 2);
   EXPECT_TRUE(r.completed);
   // The hub reaches every leaf the first time it broadcasts alone; this
   // happens in round 0 (probability 1 at sub-round 0).
@@ -44,26 +44,27 @@ TEST(Decay, CompletesOnStarFaultless) {
 
 TEST(Decay, CompletesOnCompleteGraph) {
   const auto g = make_complete(40);
-  const auto r = run_once(g, FaultModel::faultless(), 3);
+  const auto r = run_once(g, ChannelModel::faultless(), 3);
   EXPECT_TRUE(r.completed);
 }
 
 TEST(Decay, CompletesOnGridWithReceiverFaults) {
   const auto g = make_grid(10, 10);
-  const auto r = run_once(g, FaultModel::receiver(0.3), 4);
+  const auto r = run_once(g, ChannelModel::receiver(0.3), 4);
   EXPECT_TRUE(r.completed);
 }
 
 TEST(Decay, CompletesOnGnpWithSenderFaults) {
   Rng grng(5);
   const auto g = make_connected_gnp(100, 0.08, grng);
-  const auto r = run_once(g, FaultModel::sender(0.3), 5);
+  const auto r = run_once(g, ChannelModel::sender(0.3), 5);
   EXPECT_TRUE(r.completed);
 }
 
 TEST(Decay, HighFaultRateStillCompletes) {
   const auto g = make_path(32);
-  for (const auto fm : {FaultModel::receiver(0.8), FaultModel::sender(0.8)}) {
+  for (const auto fm :
+       {ChannelModel::receiver(0.8), ChannelModel::sender(0.8)}) {
     const auto r = run_once(g, fm, 6);
     EXPECT_TRUE(r.completed) << to_string(fm);
   }
@@ -77,7 +78,7 @@ TEST(Decay, RoundsGrowRoughlyLinearlyInDiameter) {
     double total = 0;
     for (std::uint64_t s = 0; s < 5; ++s)
       total += static_cast<double>(
-          run_once(g, FaultModel::receiver(0.5), 10 + s).rounds);
+          run_once(g, ChannelModel::receiver(0.5), 10 + s).rounds);
     lengths.push_back(n);
     rounds.push_back(total / 5);
   }
@@ -91,9 +92,9 @@ TEST(Decay, FaultsSlowItDown) {
   double clean = 0, noisy = 0;
   for (std::uint64_t s = 0; s < 5; ++s) {
     clean += static_cast<double>(
-        run_once(g, FaultModel::faultless(), 20 + s).rounds);
+        run_once(g, ChannelModel::faultless(), 20 + s).rounds);
     noisy += static_cast<double>(
-        run_once(g, FaultModel::receiver(0.6), 20 + s).rounds);
+        run_once(g, ChannelModel::receiver(0.6), 20 + s).rounds);
   }
   EXPECT_GT(noisy, clean * 1.3);
 }
@@ -102,7 +103,7 @@ TEST(Decay, BudgetIsRespected) {
   const auto g = make_path(128);
   DecayParams params;
   params.max_rounds = 10;  // absurdly small
-  const auto r = run_once(g, FaultModel::faultless(), 7, params);
+  const auto r = run_once(g, ChannelModel::faultless(), 7, params);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.rounds, 10);
   EXPECT_LT(r.informed, 128);
@@ -110,14 +111,14 @@ TEST(Decay, BudgetIsRespected) {
 
 TEST(Decay, SingleNodeGraphTrivial) {
   const auto g = graph::make_path(1);
-  const auto r = run_once(g, FaultModel::faultless(), 8);
+  const auto r = run_once(g, ChannelModel::faultless(), 8);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.rounds, 0);
 }
 
 TEST(Decay, TraceMonotoneInformed) {
   const auto g = make_grid(6, 6);
-  RadioNetwork net(g, FaultModel::receiver(0.2), Rng(9));
+  RadioNetwork net(g, ChannelModel::receiver(0.2), nullptr, Rng(9));
   Rng rng(10);
   radio::TraceRecorder trace;
   const auto r = Decay().run(net, 0, rng, &trace);
@@ -137,14 +138,14 @@ TEST(Decay, DefaultPhaseLength) {
 
 TEST(Decay, DeterministicGivenSeeds) {
   const auto g = make_grid(8, 8);
-  const auto a = run_once(g, FaultModel::receiver(0.4), 42);
-  const auto b = run_once(g, FaultModel::receiver(0.4), 42);
+  const auto a = run_once(g, ChannelModel::receiver(0.4), 42);
+  const auto b = run_once(g, ChannelModel::receiver(0.4), 42);
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
 TEST(Decay, SourceArgumentValidated) {
   const auto g = make_path(4);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   Rng rng(1);
   EXPECT_THROW(Decay().run(net, 99, rng), ContractViolation);
 }

@@ -51,17 +51,17 @@ std::vector<NodeId> random_plan(const Graph& g, double q, Rng& rng) {
 
 TEST(EngineKernels, DenseSparseAndAutoAreBitIdentical) {
   Rng meta(12345);
-  const FaultModel models[] = {
-      FaultModel::faultless(), FaultModel::sender(0.3),
-      FaultModel::receiver(0.4), FaultModel::combined(0.2, 0.3)};
+  const ChannelModel models[] = {
+      ChannelModel::faultless(), ChannelModel::sender(0.3),
+      ChannelModel::receiver(0.4), ChannelModel::combined(0.2, 0.3)};
   for (int instance = 0; instance < 8; ++instance) {
     const auto n = static_cast<NodeId>(10 + meta.next_below(40));
     const Graph g = graph::make_connected_gnp(n, 0.15, meta);
     for (const auto& fm : models) {
       const std::uint64_t seed = meta();
-      RadioNetwork sparse(g, fm, Rng(seed));
-      RadioNetwork dense(g, fm, Rng(seed));
-      RadioNetwork automatic(g, fm, Rng(seed));
+      RadioNetwork sparse(g, fm, nullptr, Rng(seed));
+      RadioNetwork dense(g, fm, nullptr, Rng(seed));
+      RadioNetwork automatic(g, fm, nullptr, Rng(seed));
       sparse.set_kernel(RadioNetwork::Kernel::kSparse);
       dense.set_kernel(RadioNetwork::Kernel::kDense);
       Rng plan_rng(seed ^ 0xabcdef);
@@ -91,17 +91,17 @@ TEST(EngineKernels, AdjacentKernelIsBitIdenticalOnConsecutiveTopologies) {
     if (v % 7 != 3 && v != 63 && v != 64) edges.emplace_back(v, v + 1);
   const Graph topologies[] = {graph::make_path(130),
                               Graph(kSegmented, edges)};
-  const FaultModel models[] = {
-      FaultModel::faultless(), FaultModel::sender(0.3),
-      FaultModel::receiver(0.4), FaultModel::combined(0.2, 0.3)};
+  const ChannelModel models[] = {
+      ChannelModel::faultless(), ChannelModel::sender(0.3),
+      ChannelModel::receiver(0.4), ChannelModel::combined(0.2, 0.3)};
   Rng meta(909);
   for (const Graph& g : topologies) {
     ASSERT_TRUE(RadioNetwork::consecutive_adjacency(g));
     for (const auto& fm : models) {
       const std::uint64_t seed = meta();
-      RadioNetwork adjacent(g, fm, Rng(seed));
-      RadioNetwork sparse(g, fm, Rng(seed));
-      RadioNetwork dense(g, fm, Rng(seed));
+      RadioNetwork adjacent(g, fm, nullptr, Rng(seed));
+      RadioNetwork sparse(g, fm, nullptr, Rng(seed));
+      RadioNetwork dense(g, fm, nullptr, Rng(seed));
       adjacent.set_kernel(RadioNetwork::Kernel::kAdjacent);
       sparse.set_kernel(RadioNetwork::Kernel::kSparse);
       dense.set_kernel(RadioNetwork::Kernel::kDense);
@@ -127,14 +127,14 @@ TEST(EngineKernels, AdjacentKernelRequiresEligibleTopology) {
       graph::make_connected_gnp(24, 0.3, meta)));
 
   const Graph star = graph::make_star(4);
-  RadioNetwork net(star, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(star, ChannelModel::faultless(), nullptr, Rng(1));
   EXPECT_THROW(net.set_kernel(RadioNetwork::Kernel::kAdjacent),
                ContractViolation);
 
   // Kernel choice is a per-round representation decision: switching with
   // a plan already staged is a contract violation.
   const Graph path = graph::make_path(6);
-  RadioNetwork path_net(path, FaultModel::faultless(), Rng(2));
+  RadioNetwork path_net(path, ChannelModel::faultless(), nullptr, Rng(2));
   path_net.set_broadcast(0, Packet{0});
   EXPECT_THROW(path_net.set_kernel(RadioNetwork::Kernel::kSparse),
                ContractViolation);
@@ -147,7 +147,7 @@ TEST(EngineKernels, DeliveriesEmittedInAscendingReceiverId) {
   const Graph g = graph::make_connected_gnp(60, 0.12, meta);
   for (const auto kernel :
        {RadioNetwork::Kernel::kSparse, RadioNetwork::Kernel::kDense}) {
-    RadioNetwork net(g, FaultModel::faultless(), Rng(5));
+    RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(5));
     net.set_kernel(kernel);
     Rng plan_rng(9);
     for (int round = 0; round < 20; ++round) {
@@ -174,7 +174,7 @@ TEST(EngineKernels, V4CoinTapeIsPredictable) {
 
   for (const auto kernel :
        {RadioNetwork::Kernel::kSparse, RadioNetwork::Kernel::kDense}) {
-    RadioNetwork net(g, FaultModel::combined(ps, pr), Rng(seed));
+    RadioNetwork net(g, ChannelModel::combined(ps, pr), nullptr, Rng(seed));
     net.set_kernel(kernel);
     Rng shadow(seed);
     for (int round = 0; round < 200; ++round) {
@@ -206,8 +206,8 @@ TEST(EngineKernels, SenderCoinsAreStagingOrderFree) {
   const double ps = 0.5;
   const std::uint64_t seed = 99;
   const std::uint64_t thr = Rng::coin_threshold(ps);
-  RadioNetwork forward(g, FaultModel::sender(ps), Rng(seed));
-  RadioNetwork backward(g, FaultModel::sender(ps), Rng(seed));
+  RadioNetwork forward(g, ChannelModel::sender(ps), nullptr, Rng(seed));
+  RadioNetwork backward(g, ChannelModel::sender(ps), nullptr, Rng(seed));
   Rng shadow(seed);
   for (int round = 0; round < 100; ++round) {
     forward.set_broadcast(0, Packet{0});
@@ -236,11 +236,11 @@ TEST(EngineKernels, SenderCoinsAreStagingOrderFree) {
 TEST(EngineKernels, BulkStagingMatchesPerNodeStaging) {
   Rng meta(2026);
   const Graph g = graph::make_connected_gnp(48, 0.15, meta);
-  const FaultModel fm = FaultModel::combined(0.2, 0.3);
+  const ChannelModel fm = ChannelModel::combined(0.2, 0.3);
   const std::uint64_t seed = meta();
 
-  RadioNetwork scalar(g, fm, Rng(seed));
-  RadioNetwork bulk(g, fm, Rng(seed));
+  RadioNetwork scalar(g, fm, nullptr, Rng(seed));
+  RadioNetwork bulk(g, fm, nullptr, Rng(seed));
   Rng plan_rng(seed ^ 0x5a5a);
   for (int round = 0; round < 40; ++round) {
     const auto plan = random_plan(g, 0.3, plan_rng);
@@ -280,8 +280,8 @@ TEST(EngineKernels, BernoulliStagingMatchesUnfusedTape) {
 
   for (const std::int32_t i : {0, 1, 3}) {
     const std::uint64_t seed = meta();
-    RadioNetwork fused(g, FaultModel::receiver(0.25), Rng(seed));
-    RadioNetwork unfused(g, FaultModel::receiver(0.25), Rng(seed));
+    RadioNetwork fused(g, ChannelModel::receiver(0.25), nullptr, Rng(seed));
+    RadioNetwork unfused(g, ChannelModel::receiver(0.25), nullptr, Rng(seed));
     Rng fused_rng(seed ^ 1), unfused_rng(seed ^ 1);
     for (int round = 0; round < 30; ++round) {
       const std::size_t staged = fused.stage_broadcasts_bernoulli_pow2(
@@ -307,7 +307,7 @@ TEST(EngineKernels, BernoulliStagingMatchesUnfusedTape) {
 TEST(EngineKernels, FaultlessRoundsConsumeNoCoins) {
   const Graph g = graph::make_star(8);
   const std::uint64_t seed = 31337;
-  RadioNetwork net(g, FaultModel::faultless(), Rng(seed));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(seed));
   for (int round = 0; round < 10; ++round) {
     net.set_broadcast(0, Packet{round});
     EXPECT_EQ(net.run_round().size(), 8u);
@@ -315,7 +315,7 @@ TEST(EngineKernels, FaultlessRoundsConsumeNoCoins) {
   // Trick: reset with the same seed after 10 rounds; if the rounds drew
   // any coin the stream would have advanced, but reset re-seeds anyway --
   // so instead compare against a combined-model net whose coins DO burn.
-  RadioNetwork quiet(g, FaultModel::combined(0.0, 0.0), Rng(seed));
+  RadioNetwork quiet(g, ChannelModel::combined(0.0, 0.0), nullptr, Rng(seed));
   for (int round = 0; round < 10; ++round) {
     quiet.set_broadcast(0, Packet{round});
     EXPECT_EQ(quiet.run_round().size(), 8u);  // p=0 draws nothing either
@@ -324,8 +324,8 @@ TEST(EngineKernels, FaultlessRoundsConsumeNoCoins) {
 
 TEST(EngineKernels, SilentRoundFastPathMatchesLegacyAccounting) {
   const Graph g = graph::make_path(4);
-  RadioNetwork a(g, FaultModel::receiver(0.5), Rng(3));
-  RadioNetwork b(g, FaultModel::receiver(0.5), Rng(3));
+  RadioNetwork a(g, ChannelModel::receiver(0.5), nullptr, Rng(3));
+  RadioNetwork b(g, ChannelModel::receiver(0.5), nullptr, Rng(3));
 
   for (int i = 0; i < 7; ++i) a.run_silent_round();
   b.run_silent_rounds(7);
@@ -348,7 +348,7 @@ TEST(EngineKernels, SilentRoundFastPathMatchesLegacyAccounting) {
 
 TEST(EngineKernels, SilentRoundsRejectStagedPlans) {
   const Graph g = graph::make_path(3);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   net.set_broadcast(0, Packet{0});
   EXPECT_THROW(net.run_silent_rounds(2), ContractViolation);
   net.run_round();
@@ -370,15 +370,15 @@ TEST(EngineKernels, ResetReproducesAFreshNetworkExactly) {
     return counts;
   };
 
-  RadioNetwork fresh(g, FaultModel::combined(0.2, 0.2), Rng(1001));
+  RadioNetwork fresh(g, ChannelModel::combined(0.2, 0.2), nullptr, Rng(1001));
   const auto expected = run_schedule(fresh);
 
   // Dirty a network with a different model, seed, and even an abandoned
   // staging, then reset: it must replay the fresh run bit for bit.
-  RadioNetwork reused(g, FaultModel::sender(0.9), Rng(5));
+  RadioNetwork reused(g, ChannelModel::sender(0.9), nullptr, Rng(5));
   run_schedule(reused);
   reused.set_broadcast(3, Packet{3});  // staged but never run
-  reused.reset(FaultModel::combined(0.2, 0.2), Rng(1001));
+  reused.reset(ChannelModel::combined(0.2, 0.2), Rng(1001));
   EXPECT_EQ(reused.round_number(), 0);
   EXPECT_EQ(reused.totals().broadcasts, 0);
   EXPECT_EQ(run_schedule(reused), expected);
@@ -386,7 +386,7 @@ TEST(EngineKernels, ResetReproducesAFreshNetworkExactly) {
 
 TEST(EngineKernels, DeliveryPacketsStayValidUntilNextRound) {
   const Graph g = graph::make_star(3);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   auto payload = make_payload({9, 8, 7});
   net.set_broadcast(0, Packet{42, payload});
   const auto& ds = net.run_round();

@@ -51,7 +51,7 @@ TEST_P(EngineOracle, RandomPlansOnRandomGraphs) {
     const auto n = static_cast<NodeId>(8 + rng.next_below(56));
     const double edge_p = 0.02 + rng.uniform01() * 0.3;
     const Graph g = graph::make_connected_gnp(n, edge_p, rng);
-    RadioNetwork net(g, FaultModel::faultless(), Rng(rng()));
+    RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(rng()));
     for (int round = 0; round < 30; ++round) {
       std::vector<std::pair<NodeId, PacketId>> plan;
       for (NodeId u = 0; u < n; ++u)
@@ -79,7 +79,7 @@ TEST(EngineOracle, StatsConsistentWithReference) {
   // broadcasting neighbors.
   Rng rng(99);
   const Graph g = graph::make_connected_gnp(40, 0.15, rng);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   for (int round = 0; round < 20; ++round) {
     std::vector<std::pair<NodeId, PacketId>> plan;
     for (NodeId u = 0; u < 40; ++u)
@@ -110,7 +110,7 @@ TEST(EngineOracle, CombinedModelLossRate) {
   // effective loss 1 - (1-ps)(1-pr) on an uncontested link.
   const Graph g = graph::make_star(1);
   const double ps = 0.3, pr = 0.4;
-  RadioNetwork net(g, FaultModel::combined(ps, pr), Rng(7));
+  RadioNetwork net(g, ChannelModel::combined(ps, pr), nullptr, Rng(7));
   const int rounds = 40000;
   int received = 0;
   for (int r = 0; r < rounds; ++r) {
@@ -127,7 +127,7 @@ TEST(EngineOracle, CombinedModelSenderCoinShared) {
   // lost" rounds occur with probability ps + (1-ps) pr^12 ~ ps.
   const Graph g = graph::make_star(12);
   const double ps = 0.5, pr = 0.2;
-  RadioNetwork net(g, FaultModel::combined(ps, pr), Rng(8));
+  RadioNetwork net(g, ChannelModel::combined(ps, pr), nullptr, Rng(8));
   const int rounds = 4000;
   int all_lost = 0, partial = 0;
   for (int r = 0; r < rounds; ++r) {
@@ -141,13 +141,19 @@ TEST(EngineOracle, CombinedModelSenderCoinShared) {
 }
 
 TEST(EngineOracle, EffectiveLossHelper) {
-  EXPECT_DOUBLE_EQ(FaultModel::faultless().effective_loss(), 0.0);
-  EXPECT_DOUBLE_EQ(FaultModel::sender(0.25).effective_loss(), 0.25);
-  EXPECT_DOUBLE_EQ(FaultModel::receiver(0.25).effective_loss(), 0.25);
-  EXPECT_NEAR(FaultModel::combined(0.3, 0.4).effective_loss(),
+  EXPECT_DOUBLE_EQ(ChannelModel::faultless().effective_loss(), 0.0);
+  EXPECT_DOUBLE_EQ(ChannelModel::sender(0.25).effective_loss(), 0.25);
+  EXPECT_DOUBLE_EQ(ChannelModel::receiver(0.25).effective_loss(), 0.25);
+  EXPECT_NEAR(ChannelModel::combined(0.3, 0.4).effective_loss(),
               1.0 - 0.7 * 0.6, 1e-12);
-  EXPECT_TRUE(FaultModel::combined(0.0, 0.0).is_faultless());
-  EXPECT_FALSE(FaultModel::combined(0.0, 0.1).is_faultless());
+  EXPECT_TRUE(ChannelModel::combined(0.0, 0.0).is_faultless());
+  EXPECT_FALSE(ChannelModel::combined(0.0, 0.1).is_faultless());
+  // SINR prices no fault coins and feeds no loss into budget formulas.
+  const auto sinr = ChannelModel::sinr_channel(2.0, 0.1, 1.0);
+  EXPECT_DOUBLE_EQ(sinr.effective_loss(), 0.0);
+  EXPECT_DOUBLE_EQ(sinr.sender_probability(), 0.0);
+  EXPECT_DOUBLE_EQ(sinr.receiver_probability(), 0.0);
+  EXPECT_TRUE(sinr.is_faultless());
 }
 
 }  // namespace

@@ -15,20 +15,20 @@ using graph::make_caterpillar;
 using graph::make_connected_gnp;
 using graph::make_grid;
 using graph::make_path;
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
-BroadcastRunResult run_once(const graph::Graph& g, FaultModel fm,
+BroadcastRunResult run_once(const graph::Graph& g, ChannelModel fm,
                             std::uint64_t seed, FastbcParams params = {}) {
   Fastbc algo(g, 0, params);
-  RadioNetwork net(g, fm, Rng(seed));
+  RadioNetwork net(g, fm, nullptr, Rng(seed));
   Rng rng(seed ^ 0x5555);
   return algo.run(net, rng);
 }
 
 TEST(Fastbc, CompletesOnPathFaultless) {
   const auto g = make_path(128);
-  const auto r = run_once(g, FaultModel::faultless(), 1);
+  const auto r = run_once(g, ChannelModel::faultless(), 1);
   EXPECT_TRUE(r.completed);
 }
 
@@ -37,7 +37,7 @@ TEST(Fastbc, FaultlessPathIsNearDiameterLinear) {
   // alignment of <= 2 * 6 * rmax rounds the message advances one level per
   // fast round: ~2D + O(log n) rounds total (Lemma 8 with D dominant).
   const auto g = make_path(512);
-  const auto r = run_once(g, FaultModel::faultless(), 2);
+  const auto r = run_once(g, ChannelModel::faultless(), 2);
   EXPECT_TRUE(r.completed);
   EXPECT_LT(r.rounds, 2 * 512 + 40 * 12);
 }
@@ -54,19 +54,19 @@ TEST(Fastbc, GbstIsValidOnExperimentFamilies) {
 
 TEST(Fastbc, CompletesOnGridFaultless) {
   const auto g = make_grid(12, 12);
-  const auto r = run_once(g, FaultModel::faultless(), 4);
+  const auto r = run_once(g, ChannelModel::faultless(), 4);
   EXPECT_TRUE(r.completed);
 }
 
 TEST(Fastbc, CompletesWithReceiverFaults) {
   const auto g = make_path(64);
-  const auto r = run_once(g, FaultModel::receiver(0.5), 5);
+  const auto r = run_once(g, ChannelModel::receiver(0.5), 5);
   EXPECT_TRUE(r.completed);
 }
 
 TEST(Fastbc, CompletesWithSenderFaults) {
   const auto g = make_grid(8, 8);
-  const auto r = run_once(g, FaultModel::sender(0.5), 6);
+  const auto r = run_once(g, ChannelModel::sender(0.5), 6);
   EXPECT_TRUE(r.completed);
 }
 
@@ -79,9 +79,9 @@ TEST(Fastbc, Lemma10DegradationOnPath) {
   double clean = 0, noisy = 0;
   for (std::uint64_t s = 0; s < 5; ++s) {
     clean += static_cast<double>(
-        run_once(g, FaultModel::faultless(), 30 + s).rounds);
+        run_once(g, ChannelModel::faultless(), 30 + s).rounds);
     noisy += static_cast<double>(
-        run_once(g, FaultModel::receiver(0.5), 30 + s).rounds);
+        run_once(g, ChannelModel::receiver(0.5), 30 + s).rounds);
   }
   EXPECT_GT(noisy / clean, 4.0);
 }
@@ -98,9 +98,9 @@ TEST(Fastbc, NoisyPathScalesWithRankModulus) {
   double small_rounds = 0, large_rounds = 0;
   for (std::uint64_t s = 0; s < 5; ++s) {
     small_rounds += static_cast<double>(
-        run_once(g, FaultModel::receiver(0.5), 40 + s, small_mod).rounds);
+        run_once(g, ChannelModel::receiver(0.5), 40 + s, small_mod).rounds);
     large_rounds += static_cast<double>(
-        run_once(g, FaultModel::receiver(0.5), 40 + s, large_mod).rounds);
+        run_once(g, ChannelModel::receiver(0.5), 40 + s, large_mod).rounds);
   }
   EXPECT_GT(large_rounds, 1.25 * small_rounds);
 }
@@ -116,7 +116,7 @@ TEST(Fastbc, BudgetRespected) {
   const auto g = make_path(128);
   FastbcParams params;
   params.max_rounds = 8;
-  const auto r = run_once(g, FaultModel::faultless(), 7, params);
+  const auto r = run_once(g, ChannelModel::faultless(), 7, params);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.rounds, 8);
 }
@@ -125,15 +125,15 @@ TEST(Fastbc, WrongNetworkGraphRejected) {
   const auto g1 = make_path(8);
   const auto g2 = make_path(8);
   Fastbc algo(g1, 0);
-  RadioNetwork net(g2, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g2, ChannelModel::faultless(), nullptr, Rng(1));
   Rng rng(1);
   EXPECT_THROW(algo.run(net, rng), ContractViolation);
 }
 
 TEST(Fastbc, DeterministicGivenSeeds) {
   const auto g = make_grid(9, 9);
-  const auto a = run_once(g, FaultModel::sender(0.3), 77);
-  const auto b = run_once(g, FaultModel::sender(0.3), 77);
+  const auto a = run_once(g, ChannelModel::sender(0.3), 77);
+  const auto b = run_once(g, ChannelModel::sender(0.3), 77);
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
@@ -143,8 +143,8 @@ TEST(Fastbc, BeatsDecayOnLongFaultlessPath) {
   double fastbc_rounds = 0, decay_rounds = 0;
   for (std::uint64_t s = 0; s < 3; ++s) {
     fastbc_rounds += static_cast<double>(
-        run_once(g, FaultModel::faultless(), 50 + s).rounds);
-    RadioNetwork net(g, FaultModel::faultless(), Rng(60 + s));
+        run_once(g, ChannelModel::faultless(), 50 + s).rounds);
+    RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(60 + s));
     Rng rng(61 + s);
     decay_rounds += static_cast<double>(Decay().run(net, 0, rng).rounds);
   }

@@ -15,7 +15,7 @@ using graph::make_star;
 
 TEST(Faults, FaultlessNeverLoses) {
   const Graph g = make_star(20);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(3));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(3));
   for (int r = 0; r < 200; ++r) {
     net.set_broadcast(0, Packet{r});
     EXPECT_EQ(net.run_round().size(), 20u);
@@ -27,7 +27,7 @@ TEST(Faults, FaultlessNeverLoses) {
 TEST(Faults, ReceiverFaultRateMatchesP) {
   const Graph g = make_star(1);
   for (double p : {0.1, 0.5, 0.8}) {
-    RadioNetwork net(g, FaultModel::receiver(p), Rng(11));
+    RadioNetwork net(g, ChannelModel::receiver(p), nullptr, Rng(11));
     const int rounds = 20000;
     int received = 0;
     for (int r = 0; r < rounds; ++r) {
@@ -42,7 +42,7 @@ TEST(Faults, ReceiverFaultRateMatchesP) {
 TEST(Faults, SenderFaultRateMatchesP) {
   const Graph g = make_star(1);
   for (double p : {0.1, 0.5, 0.8}) {
-    RadioNetwork net(g, FaultModel::sender(p), Rng(13));
+    RadioNetwork net(g, ChannelModel::sender(p), nullptr, Rng(13));
     const int rounds = 20000;
     int received = 0;
     for (int r = 0; r < rounds; ++r) {
@@ -57,7 +57,7 @@ TEST(Faults, SenderFaultRateMatchesP) {
 TEST(Faults, SenderFaultIsSharedAcrossReceivers) {
   // With sender faults, in every round either all leaves receive or none.
   const Graph g = make_star(10);
-  RadioNetwork net(g, FaultModel::sender(0.5), Rng(17));
+  RadioNetwork net(g, ChannelModel::sender(0.5), nullptr, Rng(17));
   int all = 0, none = 0, partial = 0;
   for (int r = 0; r < 2000; ++r) {
     net.set_broadcast(0, Packet{r});
@@ -78,7 +78,7 @@ TEST(Faults, ReceiverFaultIsIndependentAcrossReceivers) {
   // With receiver faults at p = 0.5 on a 10-leaf star, partial reception
   // should dominate: all-or-nothing rounds have probability 2 * 2^-10.
   const Graph g = make_star(10);
-  RadioNetwork net(g, FaultModel::receiver(0.5), Rng(19));
+  RadioNetwork net(g, ChannelModel::receiver(0.5), nullptr, Rng(19));
   int partial = 0;
   const int rounds = 2000;
   double total = 0;
@@ -96,7 +96,7 @@ TEST(Faults, FaultyTransmissionStillCollides) {
   // Sender faults replace the payload with noise but still occupy the
   // channel: two broadcasting neighbors never deliver anything.
   const Graph g = make_star(2);
-  RadioNetwork net(g, FaultModel::sender(0.9), Rng(23));
+  RadioNetwork net(g, ChannelModel::sender(0.9), nullptr, Rng(23));
   for (int r = 0; r < 500; ++r) {
     net.set_broadcast(1, Packet{1});
     net.set_broadcast(2, Packet{2});
@@ -106,7 +106,7 @@ TEST(Faults, FaultyTransmissionStillCollides) {
 
 TEST(Faults, CollisionLossIsNotAFaultLoss) {
   const Graph g = make_star(2);
-  RadioNetwork net(g, FaultModel::receiver(0.5), Rng(29));
+  RadioNetwork net(g, ChannelModel::receiver(0.5), nullptr, Rng(29));
   net.set_broadcast(1, Packet{1});
   net.set_broadcast(2, Packet{2});
   net.run_round();
@@ -118,7 +118,7 @@ TEST(Faults, PathFrontierStillAdvances) {
   // A faulty single edge succeeds with probability 1-p each attempt;
   // a message crosses a 2-node path in ~1/(1-p) rounds.
   const Graph g = make_path(2);
-  RadioNetwork net(g, FaultModel::receiver(0.75), Rng(31));
+  RadioNetwork net(g, ChannelModel::receiver(0.75), nullptr, Rng(31));
   int rounds = 0;
   while (true) {
     net.set_broadcast(0, Packet{0});
@@ -130,15 +130,15 @@ TEST(Faults, PathFrontierStillAdvances) {
 }
 
 TEST(Faults, InvalidProbabilityRejected) {
-  EXPECT_THROW(FaultModel::sender(1.0), ContractViolation);
-  EXPECT_THROW(FaultModel::receiver(-0.1), ContractViolation);
+  EXPECT_THROW(ChannelModel::sender(1.0), ContractViolation);
+  EXPECT_THROW(ChannelModel::receiver(-0.1), ContractViolation);
 }
 
 TEST(Faults, ToStringNames) {
-  EXPECT_EQ(to_string(FaultModel::faultless()), "faultless");
-  EXPECT_NE(to_string(FaultModel::sender(0.25)).find("sender"),
+  EXPECT_EQ(to_string(ChannelModel::faultless()), "faultless");
+  EXPECT_NE(to_string(ChannelModel::sender(0.25)).find("sender"),
             std::string::npos);
-  EXPECT_NE(to_string(FaultModel::receiver(0.25)).find("receiver"),
+  EXPECT_NE(to_string(ChannelModel::receiver(0.25)).find("receiver"),
             std::string::npos);
 }
 

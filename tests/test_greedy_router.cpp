@@ -12,19 +12,19 @@
 namespace nrn::core {
 namespace {
 
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
-MultiRunResult run(const graph::Graph& g, FaultModel fm, std::int64_t k,
+MultiRunResult run(const graph::Graph& g, ChannelModel fm, std::int64_t k,
                    std::uint64_t seed) {
-  RadioNetwork net(g, fm, Rng(seed));
+  RadioNetwork net(g, fm, nullptr, Rng(seed));
   GreedyRouterParams params;
   params.k = k;
   return run_greedy_adaptive_routing(net, 0, params);
 }
 
 TEST(GreedyRouter, CompletesOnPathFaultless) {
-  const auto r = run(graph::make_path(32), FaultModel::faultless(), 4, 1);
+  const auto r = run(graph::make_path(32), ChannelModel::faultless(), 4, 1);
   EXPECT_TRUE(r.completed);
 }
 
@@ -35,26 +35,26 @@ TEST(GreedyRouter, SequentialBoundOnFaultlessPath) {
   // purpose is the depth-<=2 gap topologies; this test documents the
   // limitation explicitly.
   const std::int64_t k = 12;
-  const auto r = run(graph::make_path(40), FaultModel::faultless(), k, 2);
+  const auto r = run(graph::make_path(40), ChannelModel::faultless(), k, 2);
   ASSERT_TRUE(r.completed);
   EXPECT_LE(r.rounds, 39 * k);
 }
 
 TEST(GreedyRouter, CompletesOnGridWithReceiverFaults) {
-  const auto r = run(graph::make_grid(7, 7), FaultModel::receiver(0.4), 6, 3);
+  const auto r = run(graph::make_grid(7, 7), ChannelModel::receiver(0.4), 6, 3);
   EXPECT_TRUE(r.completed);
 }
 
 TEST(GreedyRouter, CompletesOnGnpWithSenderFaults) {
   Rng grng(4);
   const auto g = graph::make_connected_gnp(64, 0.1, grng);
-  const auto r = run(g, FaultModel::sender(0.4), 6, 5);
+  const auto r = run(g, ChannelModel::sender(0.4), 6, 5);
   EXPECT_TRUE(r.completed);
 }
 
 TEST(GreedyRouter, CompletesUnderCombinedFaults) {
   const auto r =
-      run(graph::make_path(24), FaultModel::combined(0.25, 0.25), 4, 6);
+      run(graph::make_path(24), ChannelModel::combined(0.25, 0.25), 4, 6);
   EXPECT_TRUE(r.completed);
 }
 
@@ -64,10 +64,10 @@ TEST(GreedyRouter, MatchesStarScheduleOnStar) {
   // the same Theta(log n) scale under receiver faults.
   const auto star = topology::make_star(256);
   const std::int64_t k = 32;
-  const auto greedy = run(star.graph, FaultModel::receiver(0.5), k, 7);
+  const auto greedy = run(star.graph, ChannelModel::receiver(0.5), k, 7);
   ASSERT_TRUE(greedy.completed);
 
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(8));
+  RadioNetwork net(star.graph, ChannelModel::receiver(0.5), nullptr, Rng(8));
   const auto reference =
       run_star_adaptive_routing(net, star, k, 100'000'000);
   ASSERT_TRUE(reference.completed);
@@ -88,7 +88,7 @@ TEST(GreedyRouter, StillPaysLogSquaredOnWct) {
   wp.clusters_per_class = 8;
   wp.cluster_size = 16;
   const topology::WctNetwork wct(wp, grng);
-  RadioNetwork net(wct.graph(), FaultModel::receiver(0.5), Rng(10));
+  RadioNetwork net(wct.graph(), ChannelModel::receiver(0.5), nullptr, Rng(10));
   GreedyRouterParams params;
   params.k = 16;
   const auto r = run_greedy_adaptive_routing(net, wct.source(), params);
@@ -101,14 +101,15 @@ TEST(GreedyRouter, StillPaysLogSquaredOnWct) {
 }
 
 TEST(GreedyRouter, SingleMessageOnCompleteGraphIsOneRound) {
-  const auto r = run(graph::make_complete(16), FaultModel::faultless(), 1, 11);
+  const auto r =
+      run(graph::make_complete(16), ChannelModel::faultless(), 1, 11);
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.rounds, 1);
 }
 
 TEST(GreedyRouter, BudgetRespected) {
   const auto g = graph::make_path(64);
-  RadioNetwork net(g, FaultModel::receiver(0.5), Rng(12));
+  RadioNetwork net(g, ChannelModel::receiver(0.5), nullptr, Rng(12));
   GreedyRouterParams params;
   params.k = 8;
   params.max_rounds = 5;
@@ -119,7 +120,7 @@ TEST(GreedyRouter, BudgetRespected) {
 
 TEST(GreedyRouter, TrivialInstanceShortCircuits) {
   const auto g = graph::make_path(1);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(13));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(13));
   GreedyRouterParams params;
   params.k = 3;
   const auto r = run_greedy_adaptive_routing(net, 0, params);
@@ -129,7 +130,7 @@ TEST(GreedyRouter, TrivialInstanceShortCircuits) {
 
 TEST(GreedyRouter, ValidatesArguments) {
   const auto g = graph::make_path(4);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(14));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(14));
   GreedyRouterParams params;
   params.k = 0;
   EXPECT_THROW(run_greedy_adaptive_routing(net, 0, params),

@@ -16,13 +16,13 @@
 namespace nrn::core {
 namespace {
 
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
 double star_routing_rpm(std::int32_t leaves, std::int64_t k,
                         std::uint64_t seed) {
   const auto star = topology::make_star(leaves);
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(seed));
+  RadioNetwork net(star.graph, ChannelModel::receiver(0.5), nullptr, Rng(seed));
   const auto r = run_star_adaptive_routing(net, star, k, 100'000'000);
   EXPECT_TRUE(r.completed);
   return r.rounds_per_message();
@@ -31,7 +31,7 @@ double star_routing_rpm(std::int32_t leaves, std::int64_t k,
 double star_coding_rpm(std::int32_t leaves, std::int64_t k,
                        std::uint64_t seed) {
   const auto star = topology::make_star(leaves);
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(seed));
+  RadioNetwork net(star.graph, ChannelModel::receiver(0.5), nullptr, Rng(seed));
   const auto r = run_star_rs_coding(net, star, k,
                                     rs_packet_count(k, leaves + 1, 0.5));
   EXPECT_TRUE(r.completed);
@@ -64,10 +64,10 @@ TEST(IntegrationGaps, SingleLinkGapGrowsWithK) {
   // Lemma 31: non-adaptive routing vs coding gap grows like log k.
   auto link_gap = [](std::int64_t k, std::uint64_t seed) {
     const auto g = graph::make_single_link();
-    RadioNetwork net_r(g, FaultModel::receiver(0.5), Rng(seed));
+    RadioNetwork net_r(g, ChannelModel::receiver(0.5), nullptr, Rng(seed));
     const auto routing =
         run_link_nonadaptive_routing(net_r, k, link_nonadaptive_reps(k, 0.5));
-    RadioNetwork net_c(g, FaultModel::receiver(0.5), Rng(seed + 1));
+    RadioNetwork net_c(g, ChannelModel::receiver(0.5), nullptr, Rng(seed + 1));
     const auto coding =
         run_link_rs_coding(net_c, k, link_rs_packet_count(k, 0.5));
     EXPECT_TRUE(routing.completed);
@@ -91,7 +91,8 @@ TEST(IntegrationGaps, WctRoutingPaysMoreThanCoding) {
   const topology::WctNetwork wct(wp, grng);
 
   const std::int64_t k = 24;
-  RadioNetwork net_r(wct.graph(), FaultModel::receiver(0.5), Rng(21));
+  RadioNetwork net_r(wct.graph(), ChannelModel::receiver(0.5), nullptr,
+                     Rng(21));
   PipelineParams pipeline;
   pipeline.k = k;
   Rng rng_r(22);
@@ -99,7 +100,8 @@ TEST(IntegrationGaps, WctRoutingPaysMoreThanCoding) {
       run_layered_pipeline_routing(net_r, wct.source(), pipeline, rng_r);
   ASSERT_TRUE(routing.completed);
 
-  RadioNetwork net_c(wct.graph(), FaultModel::receiver(0.5), Rng(23));
+  RadioNetwork net_c(wct.graph(), ChannelModel::receiver(0.5), nullptr,
+                     Rng(23));
   WctCodedParams coded;
   coded.k = k;
   Rng rng_c(24);
@@ -113,8 +115,8 @@ TEST(IntegrationGaps, SweepHarnessOnStar) {
   // End-to-end use of the throughput sweep API on a real schedule.
   const auto star = topology::make_star(128);
   const ScheduleFn routing = [&star](std::int64_t k, Rng& rng) {
-    RadioNetwork net(star.graph, FaultModel::receiver(0.5),
-                     Rng(rng()));
+    RadioNetwork net(star.graph, ChannelModel::receiver(0.5),
+                     nullptr, Rng(rng()));
     return run_star_adaptive_routing(net, star, k, 100'000'000);
   };
   Rng rng(30);

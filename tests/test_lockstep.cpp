@@ -29,22 +29,22 @@ std::vector<NodeId> random_plan(const Graph& g, double q, Rng& rng) {
 
 TEST(Lockstep, LanesMatchScalarNetworksRoundByRound) {
   Rng meta(424242);
-  const FaultModel models[] = {
-      FaultModel::faultless(), FaultModel::sender(0.3),
-      FaultModel::receiver(0.4), FaultModel::combined(0.2, 0.3)};
+  const ChannelModel models[] = {
+      ChannelModel::faultless(), ChannelModel::sender(0.3),
+      ChannelModel::receiver(0.4), ChannelModel::combined(0.2, 0.3)};
   for (int instance = 0; instance < 4; ++instance) {
     const auto n = static_cast<NodeId>(8 + meta.next_below(40));
     const Graph g = graph::make_connected_gnp(n, 0.2, meta);
     for (const auto& fm : models) {
       const int lanes = 1 + static_cast<int>(meta.next_below(
                                 LockstepNetwork::kMaxLanes));
-      LockstepNetwork bank(g, fm);
+      LockstepNetwork bank(g, fm, nullptr);
       std::vector<RadioNetwork> scalars;
       std::array<Rng, LockstepNetwork::kMaxLanes> plan_rngs;
       for (int l = 0; l < lanes; ++l) {
         const std::uint64_t seed = meta();
         ASSERT_EQ(bank.add_lane(Rng(seed)), l);
-        scalars.emplace_back(g, fm, Rng(seed));
+        scalars.emplace_back(g, fm, nullptr, Rng(seed));
         plan_rngs[static_cast<std::size_t>(l)] = Rng(seed ^ 0xfeed);
       }
       for (int round = 0; round < 30; ++round) {
@@ -84,14 +84,14 @@ TEST(Lockstep, LanesMatchScalarNetworksRoundByRound) {
 TEST(Lockstep, LanePortBernoulliStagingMatchesScalarTape) {
   Rng meta(99);
   const Graph g = graph::make_connected_gnp(24, 0.25, meta);
-  const FaultModel fm = FaultModel::receiver(0.3);
+  const ChannelModel fm = ChannelModel::receiver(0.3);
   const std::uint64_t seed = meta();
   std::vector<NodeId> candidates;
   for (NodeId u = 0; u < g.node_count(); ++u) candidates.push_back(u);
 
-  LockstepNetwork bank(g, fm);
+  LockstepNetwork bank(g, fm, nullptr);
   ASSERT_EQ(bank.add_lane(Rng(seed)), 0);
-  RadioNetwork scalar(g, fm, Rng(seed));
+  RadioNetwork scalar(g, fm, nullptr, Rng(seed));
   Rng lane_rng(7), scalar_rng(7);
   auto port = bank.port(0);
   for (int round = 0; round < 40; ++round) {
@@ -113,7 +113,7 @@ TEST(Lockstep, LanePortBernoulliStagingMatchesScalarTape) {
 TEST(Lockstep, ResetDropsLanesAndReplaysExactly) {
   Rng meta(5150);
   const Graph g = graph::make_connected_gnp(16, 0.3, meta);
-  const FaultModel fm = FaultModel::combined(0.4, 0.4);
+  const ChannelModel fm = ChannelModel::combined(0.4, 0.4);
   auto run_schedule = [&](LockstepNetwork& bank, std::uint64_t seed) {
     bank.add_lane(Rng(seed));
     std::vector<NodeId> all;
@@ -127,12 +127,12 @@ TEST(Lockstep, ResetDropsLanesAndReplaysExactly) {
     return all;
   };
 
-  LockstepNetwork fresh(g, fm);
+  LockstepNetwork fresh(g, fm, nullptr);
   const auto expected = run_schedule(fresh, 1001);
 
   // Dirty a bank with a different model and seed, then reset: lanes are
   // dropped and the fresh run replays bit for bit.
-  LockstepNetwork reused(g, FaultModel::sender(0.9));
+  LockstepNetwork reused(g, ChannelModel::sender(0.9), nullptr);
   run_schedule(reused, 5);
   reused.stage(0, 3);  // staged but never run
   reused.reset(fm);

@@ -12,7 +12,7 @@ namespace {
 using graph::make_grid;
 using graph::make_path;
 using graph::make_star;
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
 std::vector<std::vector<std::uint8_t>> random_messages(std::size_t k,
@@ -30,7 +30,7 @@ TEST(MultiMessage, DecayPatternCompletesOnPath) {
   MultiMessageParams params;
   params.k = 8;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, FaultModel::receiver(0.3), Rng(1));
+  RadioNetwork net(g, ChannelModel::receiver(0.3), nullptr, Rng(1));
   Rng rng(2);
   const auto r = algo.run(net, rng);
   EXPECT_TRUE(r.completed);
@@ -43,7 +43,7 @@ TEST(MultiMessage, DecayPatternPayloadsDecodeEverywhere) {
   params.k = 6;
   params.block_len = 4;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, FaultModel::receiver(0.3), Rng(3));
+  RadioNetwork net(g, ChannelModel::receiver(0.3), nullptr, Rng(3));
   Rng rng(4);
   const auto msgs = random_messages(6, 4, rng);
   const auto r = algo.run_and_verify(net, rng, msgs);
@@ -56,7 +56,7 @@ TEST(MultiMessage, RobustFastbcPatternCompletesOnPath) {
   params.k = 6;
   params.pattern = MultiPattern::kRobustFastbc;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, FaultModel::receiver(0.3), Rng(5));
+  RadioNetwork net(g, ChannelModel::receiver(0.3), nullptr, Rng(5));
   Rng rng(6);
   EXPECT_TRUE(algo.run(net, rng).completed);
 }
@@ -68,7 +68,7 @@ TEST(MultiMessage, RobustFastbcPatternVerifiesPayloads) {
   params.block_len = 3;
   params.pattern = MultiPattern::kRobustFastbc;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, FaultModel::sender(0.3), Rng(7));
+  RadioNetwork net(g, ChannelModel::sender(0.3), nullptr, Rng(7));
   Rng rng(8);
   const auto msgs = random_messages(4, 3, rng);
   EXPECT_TRUE(algo.run_and_verify(net, rng, msgs).completed);
@@ -79,7 +79,7 @@ TEST(MultiMessage, SenderFaultsAlsoWork) {
   MultiMessageParams params;
   params.k = 5;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, FaultModel::sender(0.4), Rng(9));
+  RadioNetwork net(g, ChannelModel::sender(0.4), nullptr, Rng(9));
   Rng rng(10);
   EXPECT_TRUE(algo.run(net, rng).completed);
 }
@@ -89,7 +89,7 @@ TEST(MultiMessage, StarManyMessages) {
   MultiMessageParams params;
   params.k = 32;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, FaultModel::receiver(0.5), Rng(11));
+  RadioNetwork net(g, ChannelModel::receiver(0.5), nullptr, Rng(11));
   Rng rng(12);
   const auto r = algo.run(net, rng);
   EXPECT_TRUE(r.completed);
@@ -107,7 +107,7 @@ TEST(MultiMessage, RoundsGrowLinearlyInK) {
     MultiMessageParams params;
     params.k = 8;
     RlncBroadcast algo(g, 0, params);
-    RadioNetwork net(g, FaultModel::receiver(0.3), Rng(13));
+    RadioNetwork net(g, ChannelModel::receiver(0.3), nullptr, Rng(13));
     Rng rng(14);
     rpm_small = algo.run(net, rng).rounds_per_message();
   }
@@ -115,7 +115,7 @@ TEST(MultiMessage, RoundsGrowLinearlyInK) {
     MultiMessageParams params;
     params.k = 64;
     RlncBroadcast algo(g, 0, params);
-    RadioNetwork net(g, FaultModel::receiver(0.3), Rng(15));
+    RadioNetwork net(g, ChannelModel::receiver(0.3), nullptr, Rng(15));
     Rng rng(16);
     rpm_large = algo.run(net, rng).rounds_per_message();
   }
@@ -128,7 +128,7 @@ TEST(MultiMessage, BudgetRespected) {
   params.k = 8;
   params.max_rounds = 5;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(17));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(17));
   Rng rng(18);
   const auto r = algo.run(net, rng);
   EXPECT_FALSE(r.completed);
@@ -140,7 +140,7 @@ TEST(MultiMessage, SingleMessageDegenerate) {
   MultiMessageParams params;
   params.k = 1;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(19));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(19));
   Rng rng(20);
   EXPECT_TRUE(algo.run(net, rng).completed);
 }
@@ -150,7 +150,7 @@ TEST(MultiMessage, VerifyRequiresPayloadMode) {
   MultiMessageParams params;
   params.k = 2;
   RlncBroadcast algo(g, 0, params);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(21));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(21));
   Rng rng(22);
   EXPECT_THROW(algo.run_and_verify(net, rng, {}), ContractViolation);
 }

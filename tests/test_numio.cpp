@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "common/numio.hpp"
+#include "radio/channel_model.hpp"
+#include "sim/scenario.hpp"
 #include "sim_test_util.hpp"
 
 namespace nrn {
@@ -243,6 +245,40 @@ TEST(LocaleHostility, SweepRecordsAndEmittersAreByteIdentical) {
 
   std::istringstream in(c_shard);
   EXPECT_EQ(read_shard_file(in), c_report);
+}
+
+TEST(LocaleHostility, ChannelAndScenarioTextIsLocaleInvariant) {
+  // Channel and scenario titles render their reals with six fixed
+  // decimals; std::to_string(double) would follow LC_NUMERIC and print
+  // "p=0,300000" under a comma-decimal locale.  The expectations run once
+  // in the C locale and once under the hostile one.
+  using radio::ChannelModel;
+  const auto edge =
+      sim::Scenario::parse("grid:4x4", "combined:0.2:0.1", 0, 1, 3);
+  const auto sinr = sim::Scenario::parse("disk:32:0.3", "none", 0, 4, 7,
+                                         "sinr:2.5:0.001:1.25");
+  const auto expect_c_text = [&] {
+    EXPECT_EQ(to_string(ChannelModel::faultless()), "faultless");
+    EXPECT_EQ(to_string(ChannelModel::sender(0.25)),
+              "sender-faults(p=0.250000)");
+    EXPECT_EQ(to_string(ChannelModel::receiver(0.3)),
+              "receiver-faults(p=0.300000)");
+    EXPECT_EQ(to_string(ChannelModel::combined(0.2, 0.1)),
+              "combined-faults(ps=0.200000, pr=0.100000)");
+    EXPECT_EQ(to_string(ChannelModel::sinr_channel(2.5, 0.001, 1.25)),
+              "sinr(alpha=2.500000, noise=0.001000, beta=1.250000)");
+    EXPECT_EQ(edge.describe(),
+              "grid:4x4 under combined-faults(ps=0.200000, pr=0.100000), "
+              "seed=3");
+    EXPECT_EQ(sinr.describe(),
+              "disk:32:0.3 under sinr(alpha=2.500000, noise=0.001000, "
+              "beta=1.250000), k=4, seed=7");
+  };
+  expect_c_text();
+
+  CommaLocale locale;
+  SKIP_WITHOUT_COMMA_LOCALE(locale);
+  expect_c_text();
 }
 
 }  // namespace

@@ -12,12 +12,12 @@ namespace {
 using graph::make_grid;
 using graph::make_path;
 using graph::make_star;
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
 TEST(Pipeline, CompletesOnStar) {
   const auto g = make_star(32);
-  RadioNetwork net(g, FaultModel::receiver(0.5), Rng(1));
+  RadioNetwork net(g, ChannelModel::receiver(0.5), nullptr, Rng(1));
   PipelineParams params;
   params.k = 12;
   Rng rng(2);
@@ -28,7 +28,7 @@ TEST(Pipeline, CompletesOnStar) {
 
 TEST(Pipeline, CompletesOnPathFaultless) {
   const auto g = make_path(20);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(3));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(3));
   PipelineParams params;
   params.k = 10;
   Rng rng(4);
@@ -37,7 +37,7 @@ TEST(Pipeline, CompletesOnPathFaultless) {
 
 TEST(Pipeline, CompletesOnPathWithFaults) {
   const auto g = make_path(16);
-  RadioNetwork net(g, FaultModel::receiver(0.4), Rng(5));
+  RadioNetwork net(g, ChannelModel::receiver(0.4), nullptr, Rng(5));
   PipelineParams params;
   params.k = 8;
   Rng rng(6);
@@ -46,7 +46,7 @@ TEST(Pipeline, CompletesOnPathWithFaults) {
 
 TEST(Pipeline, CompletesOnGridWithSenderFaults) {
   const auto g = make_grid(6, 6);
-  RadioNetwork net(g, FaultModel::sender(0.4), Rng(7));
+  RadioNetwork net(g, ChannelModel::sender(0.4), nullptr, Rng(7));
   PipelineParams params;
   params.k = 6;
   Rng rng(8);
@@ -61,7 +61,7 @@ TEST(Pipeline, CompletesOnWct) {
   wp.clusters_per_class = 4;
   wp.cluster_size = 6;
   const topology::WctNetwork wct(wp, grng);
-  RadioNetwork net(wct.graph(), FaultModel::receiver(0.5), Rng(10));
+  RadioNetwork net(wct.graph(), ChannelModel::receiver(0.5), nullptr, Rng(10));
   PipelineParams params;
   params.k = 8;
   Rng rng(11);
@@ -76,7 +76,7 @@ TEST(Pipeline, PipeliningBeatsNaiveSequentialOnDeepGraphs) {
   PipelineParams params;
   params.k = 16;
   params.batch = 2;
-  RadioNetwork net(g, FaultModel::faultless(), Rng(12));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(12));
   Rng rng(13);
   const auto r = run_layered_pipeline_routing(net, 0, params, rng);
   ASSERT_TRUE(r.completed);
@@ -88,7 +88,7 @@ TEST(Pipeline, PipeliningBeatsNaiveSequentialOnDeepGraphs) {
 
 TEST(Pipeline, TinyCapFails) {
   const auto g = make_path(10);
-  RadioNetwork net(g, FaultModel::receiver(0.5), Rng(14));
+  RadioNetwork net(g, ChannelModel::receiver(0.5), nullptr, Rng(14));
   PipelineParams params;
   params.k = 4;
   params.meta_round_cap = 1;
@@ -99,7 +99,7 @@ TEST(Pipeline, TinyCapFails) {
 
 TEST(Pipeline, SingleMessageDegenerate) {
   const auto g = make_path(6);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(16));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(16));
   PipelineParams params;
   params.k = 1;
   Rng rng(17);
@@ -108,7 +108,7 @@ TEST(Pipeline, SingleMessageDegenerate) {
 
 TEST(Pipeline, BatchSizeOne) {
   const auto g = make_path(8);
-  RadioNetwork net(g, FaultModel::receiver(0.3), Rng(18));
+  RadioNetwork net(g, ChannelModel::receiver(0.3), nullptr, Rng(18));
   PipelineParams params;
   params.k = 5;
   params.batch = 1;
@@ -119,7 +119,7 @@ TEST(Pipeline, BatchSizeOne) {
 TEST(Pipeline, DeterministicGivenSeeds) {
   const auto g = make_grid(5, 5);
   auto run = [&g](std::uint64_t seed) {
-    RadioNetwork net(g, FaultModel::receiver(0.4), Rng(seed));
+    RadioNetwork net(g, ChannelModel::receiver(0.4), nullptr, Rng(seed));
     PipelineParams params;
     params.k = 6;
     Rng rng(seed + 1);

@@ -18,7 +18,7 @@
 namespace nrn::core {
 namespace {
 
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
 // ---------------------------------------------------------------------
@@ -51,14 +51,14 @@ graph::Graph build_topo(Topo t, Rng& rng) {
   return graph::make_path(2);
 }
 
-FaultModel build_fault(Fault f) {
+ChannelModel build_fault(Fault f) {
   switch (f) {
-    case Fault::kNone: return FaultModel::faultless();
-    case Fault::kSender: return FaultModel::sender(0.4);
-    case Fault::kReceiver: return FaultModel::receiver(0.4);
-    case Fault::kCombined: return FaultModel::combined(0.25, 0.25);
+    case Fault::kNone: return ChannelModel::faultless();
+    case Fault::kSender: return ChannelModel::sender(0.4);
+    case Fault::kReceiver: return ChannelModel::receiver(0.4);
+    case Fault::kCombined: return ChannelModel::combined(0.25, 0.25);
   }
-  return FaultModel::faultless();
+  return ChannelModel::faultless();
 }
 
 class CompletionMatrix
@@ -68,8 +68,8 @@ TEST_P(CompletionMatrix, BroadcastCompletes) {
   const auto [algo, topo, fault] = GetParam();
   Rng grng(0x5eedULL + static_cast<std::uint64_t>(topo));
   const graph::Graph g = build_topo(topo, grng);
-  const FaultModel fm = build_fault(fault);
-  RadioNetwork net(g, fm, Rng(42));
+  const ChannelModel fm = build_fault(fault);
+  RadioNetwork net(g, fm, nullptr, Rng(42));
   Rng rng(43);
 
   BroadcastRunResult result;
@@ -121,7 +121,7 @@ class DecayPhaseSweep : public ::testing::TestWithParam<std::int32_t> {};
 
 TEST_P(DecayPhaseSweep, CompletesOnNoisyPath) {
   const auto g = graph::make_path(48);
-  RadioNetwork net(g, FaultModel::receiver(0.4), Rng(7));
+  RadioNetwork net(g, ChannelModel::receiver(0.4), nullptr, Rng(7));
   Rng rng(8);
   DecayParams params;
   params.phase_length = GetParam();
@@ -167,12 +167,12 @@ class FaultRateSweep
 
 TEST_P(FaultRateSweep, MeasuredLossMatchesEffectiveLoss) {
   const auto [kind, p] = GetParam();
-  FaultModel fm = FaultModel::faultless();
-  if (kind == 1) fm = FaultModel::sender(p);
-  if (kind == 2) fm = FaultModel::receiver(p);
-  if (kind == 3) fm = FaultModel::combined(p, p / 2);
+  ChannelModel fm = ChannelModel::faultless();
+  if (kind == 1) fm = ChannelModel::sender(p);
+  if (kind == 2) fm = ChannelModel::receiver(p);
+  if (kind == 3) fm = ChannelModel::combined(p, p / 2);
   const auto g = graph::make_single_link();
-  RadioNetwork net(g, fm, Rng(17));
+  RadioNetwork net(g, fm, nullptr, Rng(17));
   const int rounds = 30000;
   int received = 0;
   for (int r = 0; r < rounds; ++r) {
@@ -199,7 +199,7 @@ TEST_P(DeterminismSweep, TwoRunsAgreeExactly) {
   const auto algo = GetParam();
   const auto g = graph::make_grid(7, 7);
   auto once = [&]() -> std::int64_t {
-    RadioNetwork net(g, FaultModel::receiver(0.4), Rng(5));
+    RadioNetwork net(g, ChannelModel::receiver(0.4), nullptr, Rng(5));
     Rng rng(6);
     switch (algo) {
       case Algo::kDecay:

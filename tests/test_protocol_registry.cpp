@@ -63,7 +63,8 @@ TEST(ProtocolRegistry, CustomRegistrationAndOverride) {
   const ScenarioFixture fixture("path:12", "none", 0, 1, 3);
   const ProtocolContext ctx = fixture.context();
   const auto protocol = registry.create("my-decay", ctx);
-  radio::RadioNetwork net(fixture.graph, fixture.scenario.fault, Rng(1));
+  radio::RadioNetwork net(fixture.graph, fixture.scenario.channel, nullptr,
+                          Rng(1));
   Rng rng(2);
   const auto report = protocol->run(net, rng);
   EXPECT_TRUE(report.completed);
@@ -76,7 +77,8 @@ TEST(ProtocolRegistry, TuningReachesTheProtocol) {
   const ScenarioFixture fixture("path:128", "none", 0, 1, 4, tuning);
   const ProtocolContext ctx = fixture.context();
   const auto protocol = ProtocolRegistry::global().create("decay", ctx);
-  radio::RadioNetwork net(fixture.graph, fixture.scenario.fault, Rng(1));
+  radio::RadioNetwork net(fixture.graph, fixture.scenario.channel, nullptr,
+                          Rng(1));
   Rng rng(2);
   const auto report = protocol->run(net, rng);
   EXPECT_FALSE(report.completed);

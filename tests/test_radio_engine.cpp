@@ -17,7 +17,7 @@ using graph::make_star;
 
 TEST(RadioEngine, SingleBroadcasterDelivers) {
   const Graph g = make_path(3);  // 0 - 1 - 2
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   net.set_broadcast(1, Packet{7});
   const auto& ds = net.run_round();
   ASSERT_EQ(ds.size(), 2u);  // both path neighbors hear it
@@ -30,7 +30,7 @@ TEST(RadioEngine, SingleBroadcasterDelivers) {
 
 TEST(RadioEngine, TwoBroadcastingNeighborsCollide) {
   const Graph g = make_star(2);  // hub 0, leaves 1, 2
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   net.set_broadcast(1, Packet{1});
   net.set_broadcast(2, Packet{2});
   const auto& ds = net.run_round();
@@ -40,7 +40,7 @@ TEST(RadioEngine, TwoBroadcastingNeighborsCollide) {
 
 TEST(RadioEngine, BroadcasterDoesNotReceive) {
   const Graph g = make_path(2);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   net.set_broadcast(0, Packet{1});
   net.set_broadcast(1, Packet{2});
   const auto& ds = net.run_round();
@@ -49,7 +49,7 @@ TEST(RadioEngine, BroadcasterDoesNotReceive) {
 
 TEST(RadioEngine, NonNeighborsDoNotInterfere) {
   const Graph g = make_path(5);  // 0-1-2-3-4
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   net.set_broadcast(0, Packet{1});
   net.set_broadcast(3, Packet{2});
   const auto& ds = net.run_round();
@@ -59,7 +59,7 @@ TEST(RadioEngine, NonNeighborsDoNotInterfere) {
 
 TEST(RadioEngine, CollisionAtSharedNeighborOnly) {
   const Graph g = make_path(5);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   net.set_broadcast(1, Packet{1});
   net.set_broadcast(3, Packet{2});
   const auto& ds = net.run_round();
@@ -71,14 +71,14 @@ TEST(RadioEngine, CollisionAtSharedNeighborOnly) {
 
 TEST(RadioEngine, DoubleStagingThrows) {
   const Graph g = make_path(2);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   net.set_broadcast(0, Packet{1});
   EXPECT_THROW(net.set_broadcast(0, Packet{2}), ContractViolation);
 }
 
 TEST(RadioEngine, SilentRoundAdvancesClock) {
   const Graph g = make_path(2);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   EXPECT_EQ(net.round_number(), 0);
   net.run_silent_round();
   EXPECT_EQ(net.round_number(), 1);
@@ -87,7 +87,7 @@ TEST(RadioEngine, SilentRoundAdvancesClock) {
 
 TEST(RadioEngine, TotalsAccumulate) {
   const Graph g = make_path(3);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   for (int i = 0; i < 5; ++i) {
     net.set_broadcast(0, Packet{i});
     net.run_round();
@@ -100,7 +100,7 @@ TEST(RadioEngine, TotalsAccumulate) {
 TEST(RadioEngine, DeterministicGivenSeed) {
   const Graph g = make_star(50);
   auto run = [&g](std::uint64_t seed) {
-    RadioNetwork net(g, FaultModel::receiver(0.5), Rng(seed));
+    RadioNetwork net(g, ChannelModel::receiver(0.5), nullptr, Rng(seed));
     std::vector<std::int64_t> counts;
     for (int r = 0; r < 50; ++r) {
       net.set_broadcast(0, Packet{r});
@@ -115,7 +115,7 @@ TEST(RadioEngine, DeterministicGivenSeed) {
 
 TEST(RadioEngine, PayloadSharedAcrossDeliveries) {
   const Graph g = make_star(3);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   auto payload = make_payload({1, 2, 3});
   net.set_broadcast(0, Packet{9, payload});
   const auto& ds = net.run_round();
@@ -125,14 +125,14 @@ TEST(RadioEngine, PayloadSharedAcrossDeliveries) {
 
 TEST(RadioEngine, CompleteGraphSingleSpeakerReachesAll) {
   const Graph g = make_complete(8);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   net.set_broadcast(0, Packet{0});
   EXPECT_EQ(net.run_round().size(), 7u);
 }
 
 TEST(RadioEngine, CompleteGraphTwoSpeakersSilenceEveryone) {
   const Graph g = make_complete(8);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   net.set_broadcast(0, Packet{0});
   net.set_broadcast(1, Packet{1});
   EXPECT_TRUE(net.run_round().empty());
@@ -141,7 +141,7 @@ TEST(RadioEngine, CompleteGraphTwoSpeakersSilenceEveryone) {
 
 TEST(Trace, RecordsAndAccumulates) {
   const Graph g = make_path(4);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   TraceRecorder trace;
   for (int r = 0; r < 3; ++r) {
     net.set_broadcast(0, Packet{r});

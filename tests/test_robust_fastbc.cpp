@@ -14,37 +14,37 @@ namespace {
 using graph::make_caterpillar;
 using graph::make_grid;
 using graph::make_path;
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
-BroadcastRunResult run_once(const graph::Graph& g, FaultModel fm,
+BroadcastRunResult run_once(const graph::Graph& g, ChannelModel fm,
                             std::uint64_t seed,
                             RobustFastbcParams params = {}) {
   RobustFastbc algo(g, 0, params);
-  RadioNetwork net(g, fm, Rng(seed));
+  RadioNetwork net(g, fm, nullptr, Rng(seed));
   Rng rng(seed ^ 0x9999);
   return algo.run(net, rng);
 }
 
 TEST(RobustFastbc, CompletesFaultless) {
   const auto g = make_path(128);
-  EXPECT_TRUE(run_once(g, FaultModel::faultless(), 1).completed);
+  EXPECT_TRUE(run_once(g, ChannelModel::faultless(), 1).completed);
 }
 
 TEST(RobustFastbc, CompletesWithReceiverFaults) {
   const auto g = make_path(128);
-  EXPECT_TRUE(run_once(g, FaultModel::receiver(0.5), 2).completed);
+  EXPECT_TRUE(run_once(g, ChannelModel::receiver(0.5), 2).completed);
 }
 
 TEST(RobustFastbc, CompletesWithSenderFaults) {
   const auto g = make_path(128);
-  EXPECT_TRUE(run_once(g, FaultModel::sender(0.5), 3).completed);
+  EXPECT_TRUE(run_once(g, ChannelModel::sender(0.5), 3).completed);
 }
 
 TEST(RobustFastbc, CompletesOnGridAndCaterpillar) {
   EXPECT_TRUE(
-      run_once(make_grid(10, 10), FaultModel::receiver(0.4), 4).completed);
-  EXPECT_TRUE(run_once(make_caterpillar(30, 2), FaultModel::receiver(0.4), 5)
+      run_once(make_grid(10, 10), ChannelModel::receiver(0.4), 4).completed);
+  EXPECT_TRUE(run_once(make_caterpillar(30, 2), ChannelModel::receiver(0.4), 5)
                   .completed);
 }
 
@@ -57,7 +57,7 @@ TEST(RobustFastbc, NoisyRoundsScaleLinearlyInD) {
     double total = 0;
     for (std::uint64_t s = 0; s < 3; ++s)
       total += static_cast<double>(
-          run_once(g, FaultModel::receiver(0.5), 10 + s).rounds);
+          run_once(g, ChannelModel::receiver(0.5), 10 + s).rounds);
     lengths.push_back(n);
     rounds.push_back(total / 3);
   }
@@ -74,7 +74,7 @@ TEST(RobustFastbc, BeatsPlainFastbcUnderFaults) {
   // fixed window constant; p = 0.7 with a window sized for that fault
   // rate is comfortably past the crossover on a 512-path.
   const auto g = make_path(512);
-  const auto fm = FaultModel::receiver(0.7);
+  const auto fm = ChannelModel::receiver(0.7);
   RobustFastbcParams rparams;
   // Large blocks amortize the Chernoff slack so the window multiplier can
   // sit near its mean 1 + 3p/(1-p) = 8; the steady-state cost is then
@@ -86,7 +86,7 @@ TEST(RobustFastbc, BeatsPlainFastbcUnderFaults) {
     robust +=
         static_cast<double>(run_once(g, fm, 20 + s, rparams).rounds);
     Fastbc fastbc(g, 0);
-    RadioNetwork net(g, fm, Rng(30 + s));
+    RadioNetwork net(g, fm, nullptr, Rng(30 + s));
     Rng rng(31 + s);
     plain += static_cast<double>(fastbc.run(net, rng).rounds);
   }
@@ -99,7 +99,7 @@ TEST(RobustFastbc, WindowMultiplierMustCoverFaultRate) {
   const auto g = make_path(96);
   RobustFastbcParams params;
   params.window_multiplier = 24;
-  EXPECT_TRUE(run_once(g, FaultModel::receiver(0.75), 6, params).completed);
+  EXPECT_TRUE(run_once(g, ChannelModel::receiver(0.75), 6, params).completed);
 }
 
 TEST(RobustFastbc, BlockSizeAblation) {
@@ -110,7 +110,7 @@ TEST(RobustFastbc, BlockSizeAblation) {
   for (const std::int32_t S : {2, 4, 16}) {
     RobustFastbcParams params;
     params.block_size = S;
-    EXPECT_TRUE(run_once(g, FaultModel::receiver(0.3), 7, params).completed)
+    EXPECT_TRUE(run_once(g, ChannelModel::receiver(0.3), 7, params).completed)
         << "S=" << S;
   }
 }
@@ -119,15 +119,15 @@ TEST(RobustFastbc, BudgetRespected) {
   const auto g = make_path(64);
   RobustFastbcParams params;
   params.max_rounds = 6;
-  const auto r = run_once(g, FaultModel::faultless(), 8, params);
+  const auto r = run_once(g, ChannelModel::faultless(), 8, params);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.rounds, 6);
 }
 
 TEST(RobustFastbc, DeterministicGivenSeeds) {
   const auto g = make_grid(8, 8);
-  const auto a = run_once(g, FaultModel::receiver(0.5), 99);
-  const auto b = run_once(g, FaultModel::receiver(0.5), 99);
+  const auto a = run_once(g, ChannelModel::receiver(0.5), 99);
+  const auto b = run_once(g, ChannelModel::receiver(0.5), 99);
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
@@ -135,7 +135,7 @@ TEST(RobustFastbc, WrongNetworkGraphRejected) {
   const auto g1 = make_path(8);
   const auto g2 = make_path(8);
   RobustFastbc algo(g1, 0);
-  RadioNetwork net(g2, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g2, ChannelModel::faultless(), nullptr, Rng(1));
   Rng rng(1);
   EXPECT_THROW(algo.run(net, rng), ContractViolation);
 }

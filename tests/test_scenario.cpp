@@ -189,13 +189,15 @@ TEST(ChannelSpec, ParsesAllDocumentedForms) {
   const auto fault = parse_fault_spec("receiver:0.25");
   const auto edge = parse_channel_spec("none", fault);
   EXPECT_TRUE(edge.is_edge_fault());
-  EXPECT_EQ(edge.fault.kind, radio::FaultKind::kReceiver);
-  const auto sinr =
-      parse_channel_spec("sinr:2.5:0.001:1.25", radio::FaultModel::faultless());
+  EXPECT_EQ(edge, radio::ChannelModel::receiver(0.25));
+  const auto sinr = parse_channel_spec("sinr:2.5:0.001:1.25",
+                                       radio::ChannelModel::faultless());
   EXPECT_FALSE(sinr.is_edge_fault());
-  EXPECT_DOUBLE_EQ(sinr.sinr.alpha, 2.5);
-  EXPECT_DOUBLE_EQ(sinr.sinr.noise_floor, 0.001);
-  EXPECT_DOUBLE_EQ(sinr.sinr.beta, 1.25);
+  EXPECT_EQ(sinr, radio::ChannelModel::sinr_channel(2.5, 0.001, 1.25));
+  EXPECT_DOUBLE_EQ(sinr.sinr().alpha, 2.5);
+  EXPECT_DOUBLE_EQ(sinr.sinr().noise_floor, 0.001);
+  EXPECT_DOUBLE_EQ(sinr.sinr().beta, 1.25);
+  EXPECT_DOUBLE_EQ(sinr.effective_loss(), 0.0);
 }
 
 TEST(ChannelSpec, RejectionsNameTheProblem) {
@@ -219,16 +221,16 @@ TEST(ChannelSpec, RejectionsNameTheProblem) {
   for (const auto& c : cases) {
     SCOPED_TRACE(c.spec);
     EXPECT_EQ(spec_error_of([&] {
-                parse_channel_spec(c.spec, radio::FaultModel::faultless());
+                parse_channel_spec(c.spec, radio::ChannelModel::faultless());
               }),
               c.message);
   }
   // Non-numeric arguments route through the strict real parser.
   EXPECT_THROW(
-      parse_channel_spec("sinr:two:0.1:1", radio::FaultModel::faultless()),
+      parse_channel_spec("sinr:two:0.1:1", radio::ChannelModel::faultless()),
       SpecError);
   EXPECT_THROW(
-      parse_channel_spec("sinr:2:nan:1", radio::FaultModel::faultless()),
+      parse_channel_spec("sinr:2:nan:1", radio::ChannelModel::faultless()),
       SpecError);
 }
 
@@ -254,17 +256,27 @@ TEST(ChannelSpec, ScenarioRejectsContradictoryCombinations) {
 }
 
 TEST(FaultSpec, ParsesAllDocumentedForms) {
-  EXPECT_EQ(parse_fault_spec("none").kind, radio::FaultKind::kFaultless);
+  using radio::ChannelModel;
+  EXPECT_EQ(parse_fault_spec("none"), ChannelModel::faultless());
   const auto sender = parse_fault_spec("sender:0.3");
-  EXPECT_EQ(sender.kind, radio::FaultKind::kSender);
-  EXPECT_DOUBLE_EQ(sender.p, 0.3);
+  EXPECT_EQ(sender, ChannelModel::sender(0.3));
+  EXPECT_DOUBLE_EQ(sender.sender_probability(), 0.3);
+  EXPECT_DOUBLE_EQ(sender.receiver_probability(), 0.0);
   const auto receiver = parse_fault_spec("receiver:0.25");
-  EXPECT_EQ(receiver.kind, radio::FaultKind::kReceiver);
-  EXPECT_DOUBLE_EQ(receiver.p, 0.25);
+  EXPECT_EQ(receiver, ChannelModel::receiver(0.25));
+  EXPECT_DOUBLE_EQ(receiver.sender_probability(), 0.0);
+  EXPECT_DOUBLE_EQ(receiver.receiver_probability(), 0.25);
   const auto combined = parse_fault_spec("combined:0.2:0.1");
-  EXPECT_EQ(combined.kind, radio::FaultKind::kCombined);
-  EXPECT_DOUBLE_EQ(combined.p, 0.2);
-  EXPECT_DOUBLE_EQ(combined.p_receiver, 0.1);
+  EXPECT_EQ(combined, ChannelModel::combined(0.2, 0.1));
+  EXPECT_DOUBLE_EQ(combined.sender_probability(), 0.2);
+  EXPECT_DOUBLE_EQ(combined.receiver_probability(), 0.1);
+  for (const auto& c : {sender, receiver, combined}) {
+    EXPECT_TRUE(c.is_edge_fault());
+    EXPECT_FALSE(c.is_faultless());
+  }
+  // Same probability, different kind: the kind is part of the channel.
+  EXPECT_NE(ChannelModel::sender(0.3), ChannelModel::receiver(0.3));
+  EXPECT_NE(ChannelModel::faultless(), ChannelModel::sender(0.0));
 }
 
 TEST(FaultSpec, RejectsMalformedSpecs) {
@@ -302,7 +314,7 @@ TEST(SpecNumbers, StrictIntegerAndRealParsing) {
 TEST(Scenario, ParseValidatesEverything) {
   const auto sc = Scenario::parse("grid:16x16", "combined:0.2:0.2", 3, 4, 7);
   EXPECT_EQ(sc.topology.kind, "grid");
-  EXPECT_EQ(sc.fault.kind, radio::FaultKind::kCombined);
+  EXPECT_EQ(sc.channel, radio::ChannelModel::combined(0.2, 0.2));
   EXPECT_EQ(sc.source, 3);
   EXPECT_EQ(sc.k, 4);
   EXPECT_EQ(sc.seed, 7u);

@@ -8,18 +8,18 @@
 namespace nrn::core {
 namespace {
 
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
-RadioNetwork make_net(FaultModel fm, std::uint64_t seed) {
+RadioNetwork make_net(ChannelModel fm, std::uint64_t seed) {
   static const graph::Graph g = graph::make_single_link();
-  return RadioNetwork(g, fm, Rng(seed));
+  return RadioNetwork(g, fm, nullptr, Rng(seed));
 }
 
 TEST(SingleLink, NonAdaptiveSucceedsWithEnoughReps) {
   // Seed chosen to succeed under the v4 coin tape (the nonadaptive bound
   // is probabilistic, not certain, at these reps).
-  auto net = make_net(FaultModel::receiver(0.5), 2);
+  auto net = make_net(ChannelModel::receiver(0.5), 2);
   const std::int64_t k = 64;
   const auto reps = link_nonadaptive_reps(k, 0.5);
   const auto r = run_link_nonadaptive_routing(net, k, reps);
@@ -30,7 +30,7 @@ TEST(SingleLink, NonAdaptiveSucceedsWithEnoughReps) {
 TEST(SingleLink, NonAdaptiveUsuallyFailsWithOneRep) {
   int failures = 0;
   for (std::uint64_t s = 0; s < 20; ++s) {
-    auto net = make_net(FaultModel::receiver(0.5), 100 + s);
+    auto net = make_net(ChannelModel::receiver(0.5), 100 + s);
     if (!run_link_nonadaptive_routing(net, 16, 1).completed) ++failures;
   }
   EXPECT_GT(failures, 15);  // each trial fails with prob 1 - 2^-16
@@ -47,7 +47,7 @@ TEST(SingleLink, NonAdaptiveRepsGrowLogarithmically) {
 }
 
 TEST(SingleLink, AdaptiveIsConstantPerMessage) {
-  auto net = make_net(FaultModel::receiver(0.5), 2);
+  auto net = make_net(ChannelModel::receiver(0.5), 2);
   const std::int64_t k = 512;
   const auto r = run_link_adaptive_routing(net, k, 100 * k);
   EXPECT_TRUE(r.completed);
@@ -56,21 +56,21 @@ TEST(SingleLink, AdaptiveIsConstantPerMessage) {
 }
 
 TEST(SingleLink, AdaptiveWorksWithSenderFaults) {
-  auto net = make_net(FaultModel::sender(0.5), 3);
+  auto net = make_net(ChannelModel::sender(0.5), 3);
   const auto r = run_link_adaptive_routing(net, 256, 100000);
   EXPECT_TRUE(r.completed);
   EXPECT_NEAR(r.rounds_per_message(), 2.0, 0.5);
 }
 
 TEST(SingleLink, AdaptiveBudgetRespected) {
-  auto net = make_net(FaultModel::receiver(0.5), 4);
+  auto net = make_net(ChannelModel::receiver(0.5), 4);
   const auto r = run_link_adaptive_routing(net, 1000, 10);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.rounds, 10);
 }
 
 TEST(SingleLink, CodingIsConstantPerMessage) {
-  auto net = make_net(FaultModel::receiver(0.5), 5);
+  auto net = make_net(ChannelModel::receiver(0.5), 5);
   const std::int64_t k = 256;
   const auto m = link_rs_packet_count(k, 0.5);
   const auto r = run_link_rs_coding(net, k, m);
@@ -81,7 +81,7 @@ TEST(SingleLink, CodingIsConstantPerMessage) {
 TEST(SingleLink, CodingFailsWithExactlyKPackets) {
   int failures = 0;
   for (std::uint64_t s = 0; s < 10; ++s) {
-    auto net = make_net(FaultModel::receiver(0.5), 50 + s);
+    auto net = make_net(ChannelModel::receiver(0.5), 50 + s);
     if (!run_link_rs_coding(net, 64, 64).completed) ++failures;
   }
   EXPECT_EQ(failures, 10);  // needs every packet to survive: hopeless
@@ -90,11 +90,11 @@ TEST(SingleLink, CodingFailsWithExactlyKPackets) {
 TEST(SingleLink, NonAdaptiveGapShape) {
   // Lemma 31: rounds/message for non-adaptive routing grows with log k
   // while coding stays constant.
-  auto net_r = make_net(FaultModel::receiver(0.5), 6);
+  auto net_r = make_net(ChannelModel::receiver(0.5), 6);
   const std::int64_t k = 1024;
   const auto routing =
       run_link_nonadaptive_routing(net_r, k, link_nonadaptive_reps(k, 0.5));
-  auto net_c = make_net(FaultModel::receiver(0.5), 7);
+  auto net_c = make_net(ChannelModel::receiver(0.5), 7);
   const auto coding = run_link_rs_coding(net_c, k, link_rs_packet_count(k, 0.5));
   ASSERT_TRUE(routing.completed);
   ASSERT_TRUE(coding.completed);
@@ -103,10 +103,10 @@ TEST(SingleLink, NonAdaptiveGapShape) {
 
 TEST(SingleLink, AdaptiveClosesTheGap) {
   // Lemma 33: adaptive routing vs coding is Theta(1) on the link.
-  auto net_r = make_net(FaultModel::receiver(0.5), 8);
+  auto net_r = make_net(ChannelModel::receiver(0.5), 8);
   const std::int64_t k = 1024;
   const auto routing = run_link_adaptive_routing(net_r, k, 100 * k);
-  auto net_c = make_net(FaultModel::receiver(0.5), 9);
+  auto net_c = make_net(ChannelModel::receiver(0.5), 9);
   const auto coding = run_link_rs_coding(net_c, k, link_rs_packet_count(k, 0.5));
   ASSERT_TRUE(routing.completed);
   ASSERT_TRUE(coding.completed);
@@ -118,7 +118,7 @@ TEST(SingleLink, AdaptiveClosesTheGap) {
 
 TEST(SingleLink, RequiresLinkTopology) {
   const auto g = graph::make_path(3);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   EXPECT_THROW(run_link_adaptive_routing(net, 4, 100), ContractViolation);
 }
 

@@ -10,7 +10,7 @@ namespace {
 
 using graph::make_path;
 using graph::make_star;
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
 TEST(Transforms, StarBaseScheduleShape) {
@@ -41,7 +41,7 @@ TEST(Transforms, PathPipelineActionsNeverCollide) {
 
 TEST(Transforms, RoutingTransformFaultlessIsLossless) {
   const auto g = make_star(8);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   StarBaseSchedule base(4);
   TransformParams params;
   params.x = 8;
@@ -53,7 +53,7 @@ TEST(Transforms, RoutingTransformFaultlessIsLossless) {
 
 TEST(Transforms, RoutingTransformSurvivesSenderFaults) {
   const auto g = make_star(16);
-  RadioNetwork net(g, FaultModel::sender(0.5), Rng(3));
+  RadioNetwork net(g, ChannelModel::sender(0.5), nullptr, Rng(3));
   StarBaseSchedule base(8);
   TransformParams params;
   params.x = 32;
@@ -67,7 +67,7 @@ TEST(Transforms, RoutingTransformSurvivesSenderFaults) {
 
 TEST(Transforms, RoutingTransformOnPathPipeline) {
   const auto g = make_path(9);
-  RadioNetwork net(g, FaultModel::sender(0.4), Rng(5));
+  RadioNetwork net(g, ChannelModel::sender(0.4), nullptr, Rng(5));
   PathPipelineBaseSchedule base(9, 6);
   TransformParams params;
   params.x = 32;
@@ -80,7 +80,7 @@ TEST(Transforms, RoutingTransformOnPathPipeline) {
 TEST(Transforms, CodingTransformSurvivesReceiverFaults) {
   // Lemma 26 is stronger than Lemma 25: it also covers receiver faults.
   const auto g = make_path(9);
-  RadioNetwork net(g, FaultModel::receiver(0.4), Rng(7));
+  RadioNetwork net(g, ChannelModel::receiver(0.4), nullptr, Rng(7));
   PathPipelineBaseSchedule base(9, 6);
   TransformParams params;
   params.x = 48;
@@ -92,7 +92,7 @@ TEST(Transforms, CodingTransformSurvivesReceiverFaults) {
 
 TEST(Transforms, CodingTransformSurvivesSenderFaults) {
   const auto g = make_star(12);
-  RadioNetwork net(g, FaultModel::sender(0.5), Rng(9));
+  RadioNetwork net(g, ChannelModel::sender(0.5), nullptr, Rng(9));
   StarBaseSchedule base(6);
   TransformParams params;
   params.x = 48;
@@ -110,7 +110,7 @@ TEST(Transforms, RoutingTransformNotReceiverFaultRobustOnStar) {
   int failures = 0;
   for (std::uint64_t s = 0; s < 6; ++s) {
     const auto g = make_star(64);
-    RadioNetwork net(g, FaultModel::receiver(0.5), Rng(20 + s));
+    RadioNetwork net(g, ChannelModel::receiver(0.5), nullptr, Rng(20 + s));
     StarBaseSchedule base(4);
     TransformParams params;
     params.x = 16;
@@ -132,9 +132,9 @@ TEST(Transforms, ThroughputTracksOneMinusP) {
   params.eta = 0.25;
   std::vector<double> ratio;
   for (const double p : {0.0, 0.3, 0.6}) {
-    RadioNetwork net(g, p == 0.0 ? FaultModel::faultless()
-                                 : FaultModel::sender(p),
-                     Rng(40));
+    RadioNetwork net(g, p == 0.0 ? ChannelModel::faultless()
+                                 : ChannelModel::sender(p),
+                     nullptr, Rng(40));
     Rng rng(41);
     const auto r = run_coding_transform(net, base, params, rng);
     ASSERT_TRUE(r.run.completed) << "p=" << p;
@@ -147,7 +147,7 @@ TEST(Transforms, ThroughputTracksOneMinusP) {
 
 TEST(Transforms, MetaLengthMatchesFormula) {
   const auto g = make_star(4);
-  RadioNetwork net(g, FaultModel::sender(0.5), Rng(50));
+  RadioNetwork net(g, ChannelModel::sender(0.5), nullptr, Rng(50));
   StarBaseSchedule base(2);
   TransformParams params;
   params.x = 10;
@@ -159,7 +159,7 @@ TEST(Transforms, MetaLengthMatchesFormula) {
 
 TEST(Transforms, RejectsOversizedX) {
   const auto g = make_star(4);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(52));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(52));
   StarBaseSchedule base(2);
   TransformParams params;
   params.x = 65;

@@ -14,7 +14,7 @@
 namespace nrn::core {
 namespace {
 
-using radio::FaultModel;
+using radio::ChannelModel;
 using radio::RadioNetwork;
 
 /// Re-implements FASTBC's fast-round staging to observe outcomes directly:
@@ -32,7 +32,7 @@ void run_wave_and_check(const graph::Graph& g, graph::NodeId source,
   rank_modulus = std::max(rank_modulus, tree.max_rank);
   const std::int64_t period = 6 * rank_modulus;
 
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(1));
   std::vector<char> informed(static_cast<std::size_t>(g.node_count()), 0);
   informed[static_cast<std::size_t>(source)] = 1;
 
@@ -105,7 +105,7 @@ TEST(WaveInterference, FullFastbcFaultlessHasNoIntendedLosses) {
   // listeners (on a path, none exist, so collisions must be zero too).
   const auto g = graph::make_path(128);
   Fastbc algo(g, 0);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(3));
+  RadioNetwork net(g, ChannelModel::faultless(), nullptr, Rng(3));
   Rng rng(4);
   const auto r = algo.run(net, rng);
   ASSERT_TRUE(r.completed);

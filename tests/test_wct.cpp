@@ -124,8 +124,8 @@ TEST(Wct, MaskSizeValidated) {
 TEST(WctSchedules, CodedScheduleCompletes) {
   Rng rng(8);
   const WctNetwork wct(small_params(), rng);
-  radio::RadioNetwork net(wct.graph(), radio::FaultModel::receiver(0.5),
-                          Rng(9));
+  radio::RadioNetwork net(wct.graph(), radio::ChannelModel::receiver(0.5),
+                          nullptr, Rng(9));
   core::WctCodedParams params;
   params.k = 32;
   Rng srng(10);
@@ -139,8 +139,8 @@ TEST(WctSchedules, CodedScheduleRoundsPerMessageModest) {
   WctParams params = small_params();
   params.class_count = 5;
   const WctNetwork wct(params, rng);
-  radio::RadioNetwork net(wct.graph(), radio::FaultModel::receiver(0.5),
-                          Rng(12));
+  radio::RadioNetwork net(wct.graph(), radio::ChannelModel::receiver(0.5),
+                          nullptr, Rng(12));
   core::WctCodedParams sched;
   sched.k = 64;
   Rng srng(13);

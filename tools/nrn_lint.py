@@ -44,13 +44,6 @@ rng-batch         Direct scalar Rng::mix64 calls in kernel/staging
                   scalar mixer and auto-vectorize; a stray per-coin mix64
                   in a hot loop silently forfeits that.  Waive it where a
                   genuinely scalar coin is correct.
-fault-fields      Direct FaultModel field access (FaultKind::, fault.kind,
-                  fault.p, fault.p_receiver) outside src/radio/.  The
-                  channel abstraction (radio/channel_model.hpp) is the one
-                  door into the fault layer; sim/tool/bench code reads the
-                  derived helpers (is_faultless, effective_loss, to_string)
-                  or the scenario's fault_text, so an SINR channel can
-                  replace the edge-fault layer without silent misreads.
 waiver-reason     A waiver comment that names no reason.  Waivers are
                   `// nrn-lint: allow(<rule>): <reason>` on the offending
                   line or the line above; the reason string is mandatory.
@@ -80,10 +73,6 @@ DEFAULT_SCAN_DIRS = ("src", "tools", "bench")
 LOCALE_EXEMPT = re.compile(r"(^|/)common/numio\.(cpp|hpp)$")
 RNG_EXEMPT = re.compile(r"(^|/)common/rng\.(cpp|hpp)$")
 THREAD_EXEMPT = re.compile(r"(^|/)(common/task_pool\.(cpp|hpp)|serve/[^/]+)$")
-
-# The fault layer's home: the only directory allowed to read FaultModel's
-# raw fields (the kernels and the channel abstraction live here).
-FAULT_FIELD_EXEMPT = re.compile(r"(^|/)radio/")
 
 # Translation units whose output must be byte-stable (emitters, the report
 # and table renderers, the wire codec).
@@ -157,14 +146,6 @@ LINE_RULES = [
      re.compile(r"\bstd::j?thread\b"),
      THREAD_EXEMPT,
      "raw std::thread bypasses TaskPool slot discipline; use common/task_pool"),
-    ("fault-fields",
-     re.compile(r"\bFaultKind\s*::"
-                r"|\b(?:fault|fault_model\(\))\s*\.\s*(?:kind|p|p_receiver)\b"),
-     FAULT_FIELD_EXEMPT,
-     "direct FaultModel field access outside src/radio/: read the derived "
-     "helpers (is_faultless, effective_loss, to_string) or the scenario's "
-     "fault_text instead, so the ChannelModel abstraction stays the only "
-     "door into the fault layer"),
 ]
 
 
