@@ -61,6 +61,22 @@ TEST(GoldenFiles, ExperimentJson) {
                testutil::json_of(fixed_experiment()));
 }
 
+/// Every coded protocol (RLNC over both patterns, their payload-verified
+/// variants and the RS erasure variant) under each fault kind and several
+/// k: pins the coin tape, ranks and decodes of the GF(2^8) coding layer.
+SweepReport coded_sweep() {
+  const auto plan = SweepPlan::parse(
+      "topology=path:24,grid:5x5,gnp:40:0.2; "
+      "fault=none,sender:0.3,receiver:0.3; "
+      "protocols=rlnc-decay,rlnc-robust,rlnc-decay-verified,"
+      "rlnc-robust-verified,erasure-decay; k=1,4,8; trials=2; seed=17");
+  return SweepRunner().run(plan);
+}
+
+TEST(GoldenFiles, CodedSweepCsv) {
+  check_golden("sweep_coded.csv", testutil::sweep_csv_of(coded_sweep()));
+}
+
 TEST(GoldenFiles, SweepCsv) {
   check_golden("sweep_small.csv", testutil::sweep_csv_of(fixed_sweep()));
 }
