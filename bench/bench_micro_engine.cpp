@@ -9,6 +9,7 @@
 #include "coding/rlnc.hpp"
 #include "common/rng.hpp"
 #include "core/decay.hpp"
+#include "core/multi_message.hpp"
 #include "graph/generators.hpp"
 #include "radio/network.hpp"
 #include "sim/sim.hpp"
@@ -238,6 +239,40 @@ void BM_RsDecode(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rs.decode(packets));
 }
 BENCHMARK(BM_RsDecode)->Arg(16)->Arg(64);
+
+void BM_RsDecodeGf256(benchmark::State& state) {
+  // The erasure-decay codec: byte symbols, 16-byte blocks.
+  const auto k = static_cast<std::size_t>(state.range(0));
+  Rng rng(6);
+  std::vector<std::vector<coding::Gf256::Symbol>> msgs(
+      k, std::vector<coding::Gf256::Symbol>(16));
+  for (auto& m : msgs)
+    for (auto& s : m) s = static_cast<coding::Gf256::Symbol>(rng.next_below(256));
+  coding::ReedSolomon<coding::Gf256> rs(k, 16);
+  const auto packets = rs.encode(msgs, static_cast<std::uint32_t>(k));
+  for (auto _ : state) benchmark::DoNotOptimize(rs.decode(packets));
+}
+BENCHMARK(BM_RsDecodeGf256)->Arg(32);
+
+void BM_RlncDecayRun(benchmark::State& state) {
+  // One whole rlnc-decay trial, the coded run loop end to end: path:128,
+  // k = 32, receiver faults 0.2, the same seeds every iteration.
+  const auto g = graph::make_path(128);
+  core::MultiMessageParams params;
+  params.k = 32;
+  const core::RlncBroadcast algo(g, 0, params);
+  std::int64_t rounds = 0;
+  for (auto _ : state) {
+    radio::RadioNetwork net(g, radio::ChannelModel::receiver(0.2), nullptr,
+                            Rng(1));
+    Rng rng(2);
+    const auto result = algo.run(net, rng);
+    rounds += result.rounds;
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(rounds);
+}
+BENCHMARK(BM_RlncDecayRun)->Unit(benchmark::kMillisecond);
 
 void BM_RlncAbsorb(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));

@@ -13,7 +13,11 @@ Gf256::Gf256() {
   }
   for (int i = 255; i < 512; ++i)
     exp_[static_cast<std::size_t>(i)] = exp_[static_cast<std::size_t>(i - 255)];
-  log_[0] = 0;  // never read; mul/div guard zero operands
+  log_[0] = 0;  // never read; div/pow guard zero operands
+  // Row 0 and column 0 stay zero.
+  for (std::size_t a = 1; a < 256; ++a)
+    for (std::size_t b = 1; b < 256; ++b)
+      product_[a << 8 | b] = exp_[log_[a] + log_[b]];
 }
 
 const Gf256& Gf256::instance() {

@@ -1,4 +1,4 @@
-// GF(2^8) arithmetic via log/antilog tables.
+// GF(2^8) arithmetic via log/antilog tables and a full product table.
 //
 // Field: GF(2)[x] / (x^8 + x^4 + x^3 + x^2 + 1)  (0x11D, the AES-adjacent
 // polynomial commonly used by RLNC implementations; generator 0x02).
@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/contracts.hpp"
@@ -22,16 +23,14 @@ class Gf256 {
   static constexpr int kFieldSize = 256;
   static constexpr std::uint32_t kGroupOrder = 255;
 
-  /// Tables are built once, at first use.
+  /// Tables (log/antilog plus the 64 KiB product table) are built once, at
+  /// first use.
   static const Gf256& instance();
 
   Symbol add(Symbol a, Symbol b) const { return a ^ b; }
   Symbol sub(Symbol a, Symbol b) const { return a ^ b; }
 
-  Symbol mul(Symbol a, Symbol b) const {
-    if (a == 0 || b == 0) return 0;
-    return exp_[log_[a] + log_[b]];
-  }
+  Symbol mul(Symbol a, Symbol b) const { return product_row(a)[b]; }
 
   Symbol div(Symbol a, Symbol b) const {
     NRN_EXPECTS(b != 0, "division by zero in GF(256)");
@@ -53,10 +52,29 @@ class Gf256 {
   /// a + b * c, the inner-product workhorse.
   Symbol mul_add(Symbol a, Symbol b, Symbol c) const { return a ^ mul(b, c); }
 
+  // Row kernels: one product-table load per symbol, no branch on zero
+  // operands.  dst and src must not overlap partially (equal is fine).
+
+  /// dst[i] += f * src[i] for i < len.
+  void axpy(Symbol* dst, const Symbol* src, Symbol f, std::size_t len) const {
+    const Symbol* row = product_row(f);
+    for (std::size_t i = 0; i < len; ++i) dst[i] ^= row[src[i]];
+  }
+
+  /// dst[i] = f * dst[i] for i < len.
+  void scale(Symbol* dst, Symbol f, std::size_t len) const {
+    const Symbol* row = product_row(f);
+    for (std::size_t i = 0; i < len; ++i) dst[i] = row[dst[i]];
+  }
+
  private:
   Gf256();
+  const Symbol* product_row(Symbol f) const {
+    return product_.data() + (static_cast<std::size_t>(f) << 8);
+  }
   std::array<Symbol, 512> exp_{};  // doubled to skip the mod-255 reduction
   std::array<std::uint16_t, 256> log_{};
+  std::array<Symbol, 256 * 256> product_{};  // product_[a << 8 | b] = a * b
 };
 
 }  // namespace nrn::coding

@@ -4,8 +4,8 @@ namespace nrn::coding {
 
 Gf65536::Gf65536() {
   constexpr std::uint32_t kPoly = 0x1100B;
-  exp_.resize(2 * kGroupOrder);
-  log_.assign(kFieldSize, 0);
+  exp_.assign(kZeroLog + kGroupOrder, 0);
+  log_.assign(kFieldSize, kZeroLog);
   std::uint32_t x = 1;
   for (std::uint32_t i = 0; i < kGroupOrder; ++i) {
     exp_[i] = static_cast<Symbol>(x);

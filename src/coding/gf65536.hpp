@@ -8,6 +8,8 @@
 // sweep in this repository.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -48,10 +50,33 @@ class Gf65536 {
   /// 0 <= i < kGroupOrder (used as Reed-Solomon evaluation points).
   Symbol alpha_pow(std::uint32_t i) const { return exp_[i % kGroupOrder]; }
 
+  // Row kernels in the log domain: log_[0] points into a zero tail of
+  // exp_, so a zero source symbol needs no branch.
+
+  /// dst[i] += f * src[i] for i < len.
+  void axpy(Symbol* dst, const Symbol* src, Symbol f, std::size_t len) const {
+    if (f == 0) return;
+    const Symbol* row = exp_.data() + log_[f];
+    for (std::size_t i = 0; i < len; ++i) dst[i] ^= row[log_[src[i]]];
+  }
+
+  /// dst[i] = f * dst[i] for i < len.
+  void scale(Symbol* dst, Symbol f, std::size_t len) const {
+    if (f == 0) {
+      std::fill(dst, dst + len, Symbol{0});
+      return;
+    }
+    const Symbol* row = exp_.data() + log_[f];
+    for (std::size_t i = 0; i < len; ++i) dst[i] = row[log_[dst[i]]];
+  }
+
  private:
   Gf65536();
-  std::vector<Symbol> exp_;          // 2 * kGroupOrder entries
-  std::vector<std::uint32_t> log_;   // kFieldSize entries
+  // exp_[i] = alpha^i for i < 2 * kGroupOrder (doubled to skip the mod
+  // reduction), then kGroupOrder zeros starting at kZeroLog = log_[0].
+  static constexpr std::uint32_t kZeroLog = 2 * kGroupOrder;
+  std::vector<Symbol> exp_;
+  std::vector<std::uint32_t> log_;  // kFieldSize entries
 };
 
 }  // namespace nrn::coding

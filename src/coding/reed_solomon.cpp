@@ -27,12 +27,11 @@ RsPacket<Field> ReedSolomon<Field>::encode_packet(const Messages& messages,
   Packet pkt;
   pkt.index = index;
   pkt.symbols.assign(block_len_, 0);
-  // Horner evaluation, highest coefficient (message k-1) first.
-  for (std::size_t i = k_; i-- > 0;) {
-    for (std::size_t s = 0; s < block_len_; ++s) {
-      pkt.symbols[s] =
-          field_.add(field_.mul(pkt.symbols[s], x), messages[i][s]);
-    }
+  // Sum of x^i * message i: one axpy row per message.
+  Symbol xp = 1;
+  for (std::size_t i = 0; i < k_; ++i) {
+    field_.axpy(pkt.symbols.data(), messages[i].data(), xp, block_len_);
+    xp = field_.mul(xp, x);
   }
   return pkt;
 }
@@ -87,15 +86,14 @@ typename ReedSolomon<Field>::Messages ReedSolomon<Field>::decode(
     std::swap(v[pivot], v[col]);
     std::swap(y[pivot], y[col]);
     const Symbol inv = field_.inv(v[col][col]);
-    for (std::size_t c = col; c < k; ++c) v[col][c] = field_.mul(v[col][c], inv);
-    for (auto& s : y[col]) s = field_.mul(s, inv);
+    field_.scale(&v[col][col], inv, k - col);
+    field_.scale(y[col].data(), inv, block_len_);
     for (std::size_t r = 0; r < k; ++r) {
       if (r == col || v[r][col] == 0) continue;
+      // Subtraction is addition in characteristic 2.
       const Symbol f = v[r][col];
-      for (std::size_t c = col; c < k; ++c)
-        v[r][c] = field_.sub(v[r][c], field_.mul(f, v[col][c]));
-      for (std::size_t s = 0; s < block_len_; ++s)
-        y[r][s] = field_.sub(y[r][s], field_.mul(f, y[col][s]));
+      field_.axpy(&v[r][col], &v[col][col], f, k - col);
+      field_.axpy(y[r].data(), y[col].data(), f, block_len_);
     }
   }
   return y;

@@ -39,8 +39,8 @@ struct RsPacket {
   std::vector<typename Field::Symbol> symbols;
 };
 
-/// `Field` provides Symbol, kGroupOrder, instance(), add/sub/mul/inv and
-/// alpha_pow(i), distinct for 0 <= i < kGroupOrder.
+/// `Field` provides Symbol, kGroupOrder, instance(), mul/inv, the row
+/// kernels axpy/scale, and alpha_pow(i), distinct for 0 <= i < kGroupOrder.
 template <typename Field>
 class ReedSolomon {
  public:

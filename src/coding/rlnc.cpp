@@ -1,12 +1,20 @@
 #include "coding/rlnc.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace nrn::coding {
 
 RlncState::RlncState(std::size_t k, std::size_t block_len)
-    : k_(k), block_len_(block_len), field_(Gf256::instance()) {
+    : k_(k),
+      block_len_(block_len),
+      field_(Gf256::instance()),
+      rows_(k * k, 0),
+      payloads_(k * block_len, 0),
+      coeff_scratch_(k, 0),
+      payload_scratch_(block_len, 0) {
   NRN_EXPECTS(k >= 1, "RLNC dimension must be positive");
+  pivots_.reserve(k);
 }
 
 void RlncState::seed_source(
@@ -19,103 +27,104 @@ void RlncState::seed_source(
   } else {
     NRN_EXPECTS(messages.empty(), "payloads given in coefficient-only mode");
   }
-  pivots_.resize(k_);
-  rows_.assign(k_, std::vector<std::uint8_t>(k_, 0));
-  payloads_.clear();
+  std::fill(rows_.begin(), rows_.end(), 0);
   for (std::size_t i = 0; i < k_; ++i) {
-    pivots_[i] = i;
-    rows_[i][i] = 1;
+    pivots_.push_back(i);
+    row_mut(i)[i] = 1;
+    if (block_len_ > 0)
+      std::copy(messages[i].begin(), messages[i].end(), payload_row(i));
   }
-  if (block_len_ > 0) payloads_ = messages;
 }
 
 bool RlncState::absorb(const RlncPacket& packet) {
   NRN_EXPECTS(packet.coeffs.size() == k_, "coefficient vector length mismatch");
   if (block_len_ > 0)
     NRN_EXPECTS(packet.payload.size() == block_len_, "payload length mismatch");
+  return absorb(packet.coeffs.data(), packet.payload.data());
+}
 
-  std::vector<std::uint8_t> c = packet.coeffs;
-  std::vector<std::uint8_t> p = packet.payload;
+bool RlncState::absorb(const std::uint8_t* coeffs,
+                       const std::uint8_t* payload) {
+  std::uint8_t* c = coeff_scratch_.data();
+  std::uint8_t* p = payload_scratch_.data();
+  std::memcpy(c, coeffs, k_);
+  if (block_len_ > 0) std::memcpy(p, payload, block_len_);
 
-  // Eliminate against existing pivots.
-  for (std::size_t i = 0; i < pivots_.size(); ++i) {
-    const std::uint8_t f = c[pivots_[i]];
+  // Eliminate against existing pivots.  Row i is zero left of its pivot,
+  // so the row operation starts there.
+  const std::size_t r = rank();
+  for (std::size_t i = 0; i < r; ++i) {
+    const std::size_t piv = pivots_[i];
+    const std::uint8_t f = c[piv];
     if (f == 0) continue;
-    const auto& row = rows_[i];
-    for (std::size_t j = 0; j < k_; ++j)
-      c[j] = field_.sub(c[j], field_.mul(f, row[j]));
-    if (block_len_ > 0) {
-      const auto& prow = payloads_[i];
-      for (std::size_t j = 0; j < block_len_; ++j)
-        p[j] = field_.sub(p[j], field_.mul(f, prow[j]));
-    }
+    field_.axpy(c + piv, row(i) + piv, f, k_ - piv);
+    field_.axpy(p, payload_row(i), f, block_len_);
   }
 
   // Find the new pivot.
-  std::size_t pivot = k_;
-  for (std::size_t j = 0; j < k_; ++j)
-    if (c[j] != 0) {
-      pivot = j;
-      break;
-    }
+  const std::size_t pivot = static_cast<std::size_t>(
+      std::find_if(c, c + k_, [](std::uint8_t x) { return x != 0; }) - c);
   if (pivot == k_) return false;  // dependent packet
 
-  // Normalize.
+  // Normalize; c is zero left of the pivot.
   const std::uint8_t inv = field_.inv(c[pivot]);
-  for (std::size_t j = 0; j < k_; ++j) c[j] = field_.mul(c[j], inv);
-  if (block_len_ > 0)
-    for (std::size_t j = 0; j < block_len_; ++j) p[j] = field_.mul(p[j], inv);
+  field_.scale(c + pivot, inv, k_ - pivot);
+  field_.scale(p, inv, block_len_);
 
   // Back-eliminate existing rows to maintain reduced echelon form.
-  for (std::size_t i = 0; i < pivots_.size(); ++i) {
-    const std::uint8_t f = rows_[i][pivot];
+  for (std::size_t i = 0; i < r; ++i) {
+    const std::uint8_t f = row(i)[pivot];
     if (f == 0) continue;
-    for (std::size_t j = 0; j < k_; ++j)
-      rows_[i][j] = field_.sub(rows_[i][j], field_.mul(f, c[j]));
-    if (block_len_ > 0)
-      for (std::size_t j = 0; j < block_len_; ++j)
-        payloads_[i][j] = field_.sub(payloads_[i][j], field_.mul(f, p[j]));
+    field_.axpy(row_mut(i) + pivot, c + pivot, f, k_ - pivot);
+    field_.axpy(payload_row(i), p, f, block_len_);
   }
 
-  // Insert keeping pivot order.
+  // Insert keeping pivot order: shift rows [pos, r) down one slot.
   const auto pos = static_cast<std::size_t>(
       std::lower_bound(pivots_.begin(), pivots_.end(), pivot) -
       pivots_.begin());
   pivots_.insert(pivots_.begin() + static_cast<std::ptrdiff_t>(pos), pivot);
-  rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(pos), std::move(c));
-  if (block_len_ > 0)
-    payloads_.insert(payloads_.begin() + static_cast<std::ptrdiff_t>(pos),
-                     std::move(p));
+  std::memmove(row_mut(pos + 1), row(pos), (r - pos) * k_);
+  std::memcpy(row_mut(pos), c, k_);
+  if (block_len_ > 0) {
+    std::memmove(payload_row(pos + 1), payload_row(pos),
+                 (r - pos) * block_len_);
+    std::memcpy(payload_row(pos), p, block_len_);
+  }
   return true;
 }
 
-RlncPacket RlncState::emit(Rng& rng) const {
+void RlncState::draw(Rng& rng, std::uint8_t* lambda) const {
   NRN_EXPECTS(rank() >= 1, "emit from an empty RLNC state");
-  RlncPacket pkt;
-  pkt.coeffs.assign(k_, 0);
-  if (block_len_ > 0) pkt.payload.assign(block_len_, 0);
-
   // Random nonzero combination of basis rows (resample the all-zero draw).
-  std::vector<std::uint8_t> lambda(rank());
   bool nonzero = false;
   while (!nonzero) {
-    for (auto& l : lambda) {
-      l = static_cast<std::uint8_t>(rng.next_below(256));
-      nonzero = nonzero || (l != 0);
+    for (std::size_t i = 0; i < rank(); ++i) {
+      lambda[i] = static_cast<std::uint8_t>(rng.next_below(256));
+      nonzero = nonzero || (lambda[i] != 0);
     }
   }
+}
+
+void RlncState::combine(const std::uint8_t* lambda, std::uint8_t* coeffs,
+                        std::uint8_t* payload) const {
+  std::memset(coeffs, 0, k_);
+  if (block_len_ > 0) std::memset(payload, 0, block_len_);
   for (std::size_t i = 0; i < rank(); ++i) {
     const std::uint8_t l = lambda[i];
     if (l == 0) continue;
-    const auto& row = rows_[i];
-    for (std::size_t j = 0; j < k_; ++j)
-      pkt.coeffs[j] = field_.add(pkt.coeffs[j], field_.mul(l, row[j]));
-    if (block_len_ > 0) {
-      const auto& prow = payloads_[i];
-      for (std::size_t j = 0; j < block_len_; ++j)
-        pkt.payload[j] = field_.add(pkt.payload[j], field_.mul(l, prow[j]));
-    }
+    const std::size_t piv = pivots_[i];
+    field_.axpy(coeffs + piv, row(i) + piv, l, k_ - piv);
+    field_.axpy(payload, payload_row(i), l, block_len_);
   }
+}
+
+RlncPacket RlncState::emit(Rng& rng) const {
+  std::vector<std::uint8_t> lambda(rank());
+  draw(rng, lambda.data());
+  RlncPacket pkt{std::vector<std::uint8_t>(k_),
+                 std::vector<std::uint8_t>(block_len_)};
+  combine(lambda.data(), pkt.coeffs.data(), pkt.payload.data());
   return pkt;
 }
 
@@ -124,7 +133,10 @@ std::vector<std::vector<std::uint8_t>> RlncState::decode() const {
   NRN_EXPECTS(complete(), "decode requires full rank");
   // Full-rank reduced echelon form over k columns is the identity, with
   // pivots_ = 0..k-1, so payload rows are the messages in order.
-  return payloads_;
+  std::vector<std::vector<std::uint8_t>> messages(k_);
+  for (std::size_t i = 0; i < k_; ++i)
+    messages[i].assign(payload_row(i), payload_row(i) + block_len_);
+  return messages;
 }
 
 }  // namespace nrn::coding

@@ -137,8 +137,12 @@ MultiRunResult run_greedy_adaptive_routing(radio::RadioNetwork& net,
       }
     }
 
-    // Stage 3: execute.  A staged broadcaster adjacent to another simply
-    // does not listen this round; the planner priced that in.
+    // Stage 3: execute.  A staged broadcaster does not listen this round,
+    // and Stage 2 does not price that in: it never charges a candidate
+    // for the reception it would itself have claimed, and it counts
+    // neighbors that are already staged as listeners.  Two adjacent nodes
+    // that each lack a message the other holds can so be staged every
+    // round and never hear each other, running a trial to its budget.
     bool staged_any = false;
     for (radio::NodeId u = 0; u < n; ++u) {
       const auto ui = static_cast<std::size_t>(u);

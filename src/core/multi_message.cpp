@@ -84,8 +84,18 @@ MultiRunResult RlncBroadcast::run_impl(
   std::vector<char> complete(static_cast<std::size_t>(n), 0);
   complete[static_cast<std::size_t>(source_)] = 1;
 
-  // Pool of packets emitted this round; radio::Packet carries an index.
-  std::vector<coding::RlncPacket> pool;
+  // This round's packets; radio::Packet carries the pool index j.  A
+  // staged sender's coefficients are drawn at stage time (keeping the rng
+  // sequence), into lambda[lambda_at[j], +rank); its packet bytes
+  // (coeffs[j * k, +k], payload[j * block_len, +block_len]) are combined
+  // only once a receiver that can still use them hears it.  Every buffer
+  // is reused across rounds.
+  const std::size_t block_len = params_.block_len;
+  std::vector<std::uint8_t> lambda;
+  std::vector<std::size_t> lambda_at;
+  std::vector<char> combined;
+  std::vector<std::uint8_t> coeffs;
+  std::vector<std::uint8_t> payload;
 
   const std::int64_t period = 6LL * rank_modulus_;
   const std::int64_t window =
@@ -106,15 +116,19 @@ MultiRunResult RlncBroadcast::run_impl(
   packet_ids.reserve(static_cast<std::size_t>(n));
 
   for (std::int64_t round = 0; round < budget; ++round) {
-    pool.clear();
     senders.clear();
     packet_ids.clear();
+    lambda.clear();
+    lambda_at.clear();
     auto stage = [&](radio::NodeId u) {
-      auto& st = state[static_cast<std::size_t>(u)];
+      const auto& st = state[static_cast<std::size_t>(u)];
       if (st.rank() == 0) return;  // nothing informative to send
-      pool.push_back(st.emit(rng));
+      const std::size_t at = lambda.size();
+      lambda.resize(at + st.rank());
+      st.draw(rng, lambda.data() + at);
+      lambda_at.push_back(at);
+      packet_ids.push_back(static_cast<radio::PacketId>(senders.size()));
       senders.push_back(u);
-      packet_ids.push_back(static_cast<radio::PacketId>(pool.size() - 1));
     };
 
     if (params_.pattern == MultiPattern::kDecay) {
@@ -147,10 +161,26 @@ MultiRunResult RlncBroadcast::run_impl(
     net.stage_broadcasts(senders, packet_ids);
 
     const auto& deliveries = net.run_round();
+    // Combine every packet some incomplete receiver heard, before any
+    // absorb changes a sender's basis.
+    const std::size_t staged = senders.size();
+    combined.assign(staged, 0);
+    if (coeffs.size() < staged * k) coeffs.resize(staged * k);
+    if (payload.size() < staged * block_len) payload.resize(staged * block_len);
+    for (const auto& d : deliveries) {
+      const auto j = static_cast<std::size_t>(d.packet.id);
+      if (combined[j] || state[static_cast<std::size_t>(d.receiver)].complete())
+        continue;
+      combined[j] = 1;
+      state[static_cast<std::size_t>(senders[j])].combine(
+          lambda.data() + lambda_at[j], coeffs.data() + j * k,
+          payload.data() + j * block_len);
+    }
     for (const auto& d : deliveries) {
       auto& st = state[static_cast<std::size_t>(d.receiver)];
       if (st.complete()) continue;
-      st.absorb(pool[static_cast<std::size_t>(d.packet.id)]);
+      const auto j = static_cast<std::size_t>(d.packet.id);
+      st.absorb(coeffs.data() + j * k, payload.data() + j * block_len);
       if (st.complete()) {
         auto& flag = complete[static_cast<std::size_t>(d.receiver)];
         if (!flag) {

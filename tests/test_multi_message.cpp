@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.hpp"
+#include "trees/gbst.hpp"
 
 namespace nrn::core {
 namespace {
@@ -24,6 +27,134 @@ std::vector<std::vector<std::uint8_t>> random_messages(std::size_t k,
     for (auto& s : m) s = static_cast<std::uint8_t>(rng.next_below(256));
   return msgs;
 }
+
+/// The straightforward eager loop: every staged sender emits a full
+/// packet at stage time and receivers absorb it after the round.  Needs
+/// every pattern parameter and max_rounds set explicitly; returns the
+/// same result RlncBroadcast must.
+MultiRunResult eager_reference(
+    const graph::Graph& g, const MultiMessageParams& params,
+    RadioNetwork& net, Rng& rng,
+    const std::vector<std::vector<std::uint8_t>>* messages) {
+  const std::int32_t n = g.node_count();
+  std::vector<coding::RlncState> state(
+      static_cast<std::size_t>(n), coding::RlncState(params.k, params.block_len));
+  state[0].seed_source(messages != nullptr ? *messages
+                                           : std::vector<std::vector<std::uint8_t>>{});
+  trees::RankedBfsTree tree;
+  std::int32_t log_n = 1;
+  while ((std::int64_t{1} << log_n) < n) ++log_n;
+  if (params.pattern == MultiPattern::kRobustFastbc)
+    tree = trees::build_gbst(g, 0, nullptr);
+  const std::int64_t period = 6LL * log_n;
+  const std::int64_t window =
+      static_cast<std::int64_t>(params.window_multiplier) * params.block_size;
+
+  MultiRunResult result;
+  result.messages = static_cast<std::int64_t>(params.k);
+  std::vector<coding::RlncPacket> pool;
+  std::vector<radio::NodeId> senders;
+  std::vector<radio::PacketId> ids;
+  for (std::int64_t round = 0; round < params.max_rounds; ++round) {
+    pool.clear();
+    senders.clear();
+    ids.clear();
+    auto stage = [&](std::size_t u) {
+      if (state[u].rank() == 0) return;
+      pool.push_back(state[u].emit(rng));
+      senders.push_back(static_cast<radio::NodeId>(u));
+      ids.push_back(static_cast<radio::PacketId>(pool.size() - 1));
+    };
+    if (params.pattern == MultiPattern::kDecay) {
+      rng.for_each_bernoulli_pow2(
+          static_cast<std::size_t>(n),
+          static_cast<std::int32_t>(round % params.decay_phase), stage);
+    } else if (round % 2 == 1) {
+      rng.for_each_bernoulli_pow2(
+          static_cast<std::size_t>(n),
+          static_cast<std::int32_t>(((round - 1) / 2) % params.decay_phase),
+          stage);
+    } else {
+      const std::int64_t t_half = round / 2;
+      const std::int64_t band = t_half / window;
+      for (radio::NodeId u = 0; u < n; ++u) {
+        const auto ui = static_cast<std::size_t>(u);
+        if (!tree.is_fast(u)) continue;
+        const std::int64_t block = tree.level[ui] / params.block_size;
+        const std::int64_t lhs =
+            ((block - 6LL * tree.rank[ui] + 6 - band) % period + period) %
+            period;
+        if (lhs == 0 && tree.level[ui] % 3 == t_half % 3) stage(ui);
+      }
+    }
+    net.stage_broadcasts(senders, ids);
+    for (const auto& d : net.run_round()) {
+      auto& st = state[static_cast<std::size_t>(d.receiver)];
+      if (!st.complete()) st.absorb(pool[static_cast<std::size_t>(d.packet.id)]);
+    }
+    result.rounds = round + 1;
+    if (std::all_of(state.begin(), state.end(),
+                    [](const coding::RlncState& s) { return s.complete(); })) {
+      result.completed = true;
+      break;
+    }
+  }
+  if (result.completed && messages != nullptr)
+    for (const auto& st : state)
+      if (st.decode() != *messages) result.completed = false;
+  return result;
+}
+
+struct EagerCase {
+  MultiPattern pattern;
+  std::size_t block_len;
+  std::uint64_t seed;
+};
+
+class MultiMessageEagerReference : public ::testing::TestWithParam<EagerCase> {};
+
+TEST_P(MultiMessageEagerReference, LazyCombineMatchesEagerEmit) {
+  const auto [pattern, block_len, seed] = GetParam();
+  const auto g = graph::make_grid(5, 6);
+  MultiMessageParams params;
+  params.k = 6;
+  params.block_len = block_len;
+  params.pattern = pattern;
+  params.decay_phase = 6;
+  params.block_size = 4;
+  params.window_multiplier = 8;
+  params.max_rounds = 20000;
+  for (const auto& channel :
+       {ChannelModel::receiver(0.3), ChannelModel::sender(0.3)}) {
+    Rng msg_rng(seed);
+    const auto msgs = random_messages(params.k, block_len, msg_rng);
+    const auto* messages = block_len > 0 ? &msgs : nullptr;
+
+    RadioNetwork ref_net(g, channel, nullptr, Rng(seed + 1));
+    Rng ref_rng(seed + 2);
+    const auto expected = eager_reference(g, params, ref_net, ref_rng, messages);
+
+    RlncBroadcast algo(g, 0, params);
+    RadioNetwork net(g, channel, nullptr, Rng(seed + 1));
+    Rng rng(seed + 2);
+    const auto got = messages != nullptr ? algo.run_and_verify(net, rng, msgs)
+                                         : algo.run(net, rng);
+    EXPECT_TRUE(expected.completed);
+    EXPECT_EQ(got.completed, expected.completed);
+    EXPECT_EQ(got.rounds, expected.rounds);
+    // Same draws in the same order: both coin streams end in step.
+    EXPECT_EQ(rng(), ref_rng());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PatternsAndSeeds, MultiMessageEagerReference,
+    ::testing::Values(EagerCase{MultiPattern::kDecay, 0, 31},
+                      EagerCase{MultiPattern::kDecay, 0, 32},
+                      EagerCase{MultiPattern::kDecay, 4, 33},
+                      EagerCase{MultiPattern::kRobustFastbc, 0, 34},
+                      EagerCase{MultiPattern::kRobustFastbc, 0, 35},
+                      EagerCase{MultiPattern::kRobustFastbc, 4, 36}));
 
 TEST(MultiMessage, DecayPatternCompletesOnPath) {
   const auto g = make_path(24);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 
 namespace nrn::coding {
@@ -144,6 +146,120 @@ TEST(Rlnc, MixingTwoPartialSourcesCoversUnion) {
     ASSERT_LT(++rounds, 100);
   }
   EXPECT_TRUE(sink.complete());
+}
+
+/// A state of rank about half of k, reached by absorbing random packets.
+RlncState partial_state(std::size_t k, std::size_t block_len, Rng& rng) {
+  RlncState s(k, block_len);
+  RlncPacket pkt{std::vector<std::uint8_t>(k), std::vector<std::uint8_t>(block_len)};
+  while (s.rank() < (k + 1) / 2) {
+    for (auto& c : pkt.coeffs) c = static_cast<std::uint8_t>(rng.next_below(256));
+    for (auto& c : pkt.payload) c = static_cast<std::uint8_t>(rng.next_below(256));
+    s.absorb(pkt);
+  }
+  return s;
+}
+
+TEST(Rlnc, DrawThenCombineEqualsEmit) {
+  for (const std::size_t block_len : {std::size_t{0}, std::size_t{5}}) {
+    for (const std::size_t k : {1, 2, 7, 32}) {
+      Rng rng(100 + k + block_len);
+      const auto s = partial_state(k, block_len, rng);
+      for (int rep = 0; rep < 20; ++rep) {
+        Rng a = rng;
+        Rng b = rng;
+        const auto pkt = s.emit(a);
+        std::vector<std::uint8_t> lambda(s.rank());
+        s.draw(b, lambda.data());
+        std::vector<std::uint8_t> coeffs(k, 0xAB), payload(block_len, 0xCD);
+        s.combine(lambda.data(), coeffs.data(), payload.data());
+        ASSERT_EQ(coeffs, pkt.coeffs) << "k=" << k << " rep=" << rep;
+        ASSERT_EQ(payload, pkt.payload) << "k=" << k << " rep=" << rep;
+        ASSERT_NE(std::count(lambda.begin(), lambda.end(), 0),
+                  static_cast<std::ptrdiff_t>(lambda.size()));
+        // Same number of draws: both generators continue identically.
+        for (int i = 0; i < 4; ++i) ASSERT_EQ(a(), b());
+        rng = a;
+      }
+    }
+  }
+}
+
+TEST(Rlnc, DrawResamplesAllZeroCombination) {
+  // Rank 1: a draw is one next_below(256); the all-zero draw (1/256)
+  // must be redrawn, so over many draws lambda is never zero and some
+  // draws consume more than one value.
+  RlncState s(4, 0);
+  s.absorb(RlncPacket{{0, 1, 2, 3}, {}});
+  Rng rng(7);
+  int resampled = 0;
+  for (int rep = 0; rep < 4000; ++rep) {
+    Rng probe = rng;
+    const bool zero_first = probe.next_below(256) == 0;
+    std::uint8_t lambda = 0;
+    s.draw(rng, &lambda);
+    ASSERT_NE(lambda, 0);
+    resampled += zero_first ? 1 : 0;
+  }
+  EXPECT_GT(resampled, 0);
+}
+
+TEST(Rlnc, BasisStaysInReducedEchelonForm) {
+  for (const std::size_t k : {1, 3, 8, 20}) {
+    Rng rng(200 + k);
+    RlncState s(k, 2);
+    RlncPacket pkt{std::vector<std::uint8_t>(k), {0, 0}};
+    for (int step = 0; step < static_cast<int>(4 * k) && !s.complete(); ++step) {
+      // Sparse packets so pivots arrive out of column order.
+      for (auto& c : pkt.coeffs)
+        c = rng.next_below(3) == 0 ? static_cast<std::uint8_t>(rng.next_below(256)) : 0;
+      s.absorb(pkt);
+      for (std::size_t i = 0; i < s.rank(); ++i) {
+        if (i > 0) {
+          ASSERT_LT(s.pivot(i - 1), s.pivot(i));
+        }
+        const std::uint8_t* row = s.row(i);
+        ASSERT_EQ(row[s.pivot(i)], 1);
+        for (std::size_t j = 0; j < s.pivot(i); ++j) ASSERT_EQ(row[j], 0);
+        for (std::size_t other = 0; other < s.rank(); ++other)
+          if (other != i) {
+            ASSERT_EQ(s.row(other)[s.pivot(i)], 0);
+          }
+      }
+    }
+  }
+}
+
+TEST(Rlnc, PointerAbsorbMatchesPacketAbsorb) {
+  Rng rng(300);
+  const auto msgs = random_messages(6, 3, rng);
+  RlncState src(6, 3), by_packet(6, 3), by_pointer(6, 3);
+  src.seed_source(msgs);
+  while (!by_packet.complete()) {
+    const auto pkt = src.emit(rng);
+    EXPECT_EQ(by_packet.absorb(pkt),
+              by_pointer.absorb(pkt.coeffs.data(), pkt.payload.data()));
+    ASSERT_EQ(by_packet.rank(), by_pointer.rank());
+  }
+  EXPECT_EQ(by_pointer.decode(), msgs);
+}
+
+TEST(Rlnc, PayloadDecodeThroughRelays) {
+  // Payload mode through two re-coding relays with sparse first-hop
+  // packets: every intermediate basis re-emits, and the sink still
+  // decodes the exact source bytes.
+  Rng rng(400);
+  const auto msgs = random_messages(12, 9, rng);
+  RlncState src(12, 9), mid(12, 9), sink(12, 9);
+  src.seed_source(msgs);
+  int rounds = 0;
+  while (!sink.complete()) {
+    mid.absorb(src.emit(rng));
+    if (mid.rank() > 0) sink.absorb(mid.emit(rng));
+    ASSERT_LT(++rounds, 400);
+  }
+  EXPECT_EQ(mid.decode(), msgs);
+  EXPECT_EQ(sink.decode(), msgs);
 }
 
 class RlncDimensionSweep : public ::testing::TestWithParam<std::size_t> {};
