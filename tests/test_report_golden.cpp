@@ -77,6 +77,34 @@ TEST(GoldenFiles, CodedSweepCsv) {
   check_golden("sweep_coded.csv", testutil::sweep_csv_of(coded_sweep()));
 }
 
+/// Every schedule-level protocol on the topologies it schedules, under each
+/// fault kind: the star and transform schedules on stars, the Appendix A
+/// link schedules for one and many messages, the transforms' path base
+/// schedule and the WCT schedules.  One sweep per topology family, their
+/// CSVs concatenated in plan order.
+std::string schedule_sweeps_csv() {
+  const std::string common =
+      "fault=none,receiver:0.3,sender:0.3; trials=2; seed=23";
+  std::string csv;
+  for (const std::string plan : {
+           "topology=star:{16,64}; protocols=star-adaptive,star-nonadaptive,"
+           "star-coding,transform-routing,transform-coding; k=4; ",
+           "topology=link; protocols=link-nonadaptive,link-adaptive,"
+           "link-coding; k=1,16; ",
+           "topology=path:12; protocols=transform-routing,transform-coding; "
+           "k=4; ",
+           "topology=wct:16:2:6:2; protocols=wct-coding,wct-unique-probe; "
+           "k=4; ",
+       })
+    csv += testutil::sweep_csv_of(SweepRunner(extended_registry())
+                                      .run(SweepPlan::parse(plan + common)));
+  return csv;
+}
+
+TEST(GoldenFiles, ScheduleSweepCsv) {
+  check_golden("sweep_schedules.csv", schedule_sweeps_csv());
+}
+
 TEST(GoldenFiles, SweepCsv) {
   check_golden("sweep_small.csv", testutil::sweep_csv_of(fixed_sweep()));
 }
