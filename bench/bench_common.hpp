@@ -71,12 +71,12 @@ inline double driver_median_rounds(const std::string& topology,
   return report.median_rounds();
 }
 
-/// Parses and runs a sweep plan through the extended registry (builtins
+/// Parses and runs a sweep plan through the global registry (builtins
 /// plus the schedule protocols).  This is the bench-side grid runner: one
 /// plan per experiment table, no bespoke trial loops.
 inline sim::SweepReport run_sweep(const std::string& plan_text) {
   const auto plan = sim::SweepPlan::parse(plan_text);
-  return sim::SweepRunner(sim::extended_registry()).run(plan);
+  return sim::SweepRunner().run(plan);
 }
 
 /// The report's cell for (topology, fault, k, protocol); fails loudly when

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "coding/reed_solomon.hpp"
-#include "core/single_link.hpp"
+#include "core/star_schedules.hpp"
 #include "graph/generators.hpp"
 #include "radio/network.hpp"
 
@@ -31,7 +31,7 @@ int main() {
     for (auto& s : chunk)
       s = static_cast<coding::Gf65536::Symbol>(payload_rng.next_below(65536));
 
-  const auto link = graph::make_single_link();
+  const auto link = graph::make_star(1);  // the single link: hub and leaf
   std::cout << "file: " << kChunks << " chunks x " << kSymbolsPerChunk * 2
             << " bytes; link loss rate " << kLossRate << "\n\n";
 
@@ -40,7 +40,7 @@ int main() {
     radio::RadioNetwork net(link, radio::ChannelModel::receiver(kLossRate),
                             nullptr, Rng(1));
     const auto reps = core::link_nonadaptive_reps(kChunks, kLossRate);
-    const auto r = core::run_link_nonadaptive_routing(net, kChunks, reps);
+    const auto r = core::run_star_nonadaptive_routing(net, kChunks, reps);
     std::cout << "repetition x" << reps << ":   " << r.rounds << " frames, "
               << (r.completed ? "file complete" : "CHUNKS LOST") << "\n";
   }
@@ -50,7 +50,7 @@ int main() {
     radio::RadioNetwork net(link, radio::ChannelModel::receiver(kLossRate),
                             nullptr, Rng(2));
     const auto r =
-        core::run_link_adaptive_routing(net, kChunks, 100 * kChunks);
+        core::run_star_adaptive_routing(net, kChunks, 100 * kChunks);
     std::cout << "stop-and-wait:    " << r.rounds << " frames, "
               << (r.completed ? "file complete" : "FAILED") << "\n";
   }
@@ -61,7 +61,7 @@ int main() {
                             nullptr, Rng(3));
     using Codec = coding::ReedSolomon<coding::Gf65536>;
     Codec rs(kChunks, kSymbolsPerChunk);
-    const auto frame_count = core::link_rs_packet_count(kChunks, kLossRate);
+    const auto frame_count = core::rs_packet_count(kChunks, 1, kLossRate);
 
     std::vector<Codec::Packet> received;
     std::int64_t frames_sent = 0;

@@ -27,11 +27,9 @@ Graph make_path(NodeId n);
 Graph make_cycle(NodeId n);
 
 /// Star: node 0 is the hub, nodes 1..n-1 are leaves.  The paper's star
-/// topology has the *source* at the hub.
+/// topology has the *source* at the hub; make_star(1), two nodes joined by
+/// one edge, is Appendix A's single link.
 Graph make_star(NodeId leaf_count);
-
-/// Two nodes joined by one edge (Appendix A's single-link topology).
-Graph make_single_link();
 
 /// Complete graph K_n.
 Graph make_complete(NodeId n);

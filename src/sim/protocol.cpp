@@ -22,6 +22,14 @@ std::string capability_names(CapabilitySet caps) {
   return out.empty() ? "-" : out;
 }
 
+Outcome BroadcastProtocol::run(radio::RadioNetwork& net, Rng& rng,
+                               radio::TraceRecorder* trace) const {
+  const auto stepper = make_stepper(trace);
+  NRN_EXPECTS(stepper != nullptr,
+              "a protocol overrides run() or make_stepper()");
+  return Outcome::from(core::run_stepped(*stepper, net, rng));
+}
+
 bool valid_metric_key(std::string_view key) {
   if (key.empty()) return false;
   for (const char c : key) {

@@ -7,7 +7,8 @@
 // never dispatch on protocol names themselves.  Protocols are built from a
 // (graph, scenario) context by the ProtocolRegistry; construction performs
 // any known-topology precomputation (e.g. the GBST), and run() executes one
-// trial.
+// trial.  An adapter carries only what the Driver reads: run(), and
+// make_stepper() for the protocols that step round by round.
 //
 // v2 replaces the fixed RunReport struct with an extensible Outcome: a
 // `completed` verdict plus a typed metrics map.  A protocol reports only
@@ -266,20 +267,21 @@ struct Tuning {
 /// state lives in the RadioNetwork and Rng arguments, never in the protocol
 /// object.  Protocols with the kTraced capability record per-round progress
 /// into `trace` when it is non-null; others ignore it.
+///
+/// A protocol overrides make_stepper() or run().  The default run() is
+/// run_stepped over make_stepper(), so a stepping protocol runs the
+/// identical stepper in scalar and lockstep trials, and the two are
+/// bit-identical by construction.
 class BroadcastProtocol {
  public:
   virtual ~BroadcastProtocol() = default;
 
-  virtual const std::string& name() const = 0;
-
   virtual Outcome run(radio::RadioNetwork& net, Rng& rng,
-                      radio::TraceRecorder* trace = nullptr) const = 0;
+                      radio::TraceRecorder* trace = nullptr) const;
 
   /// The protocol's per-round logic as a core::RoundStepper, or nullptr if
   /// the protocol cannot step (the default).  A non-null stepper lets the
-  /// Driver run small-n trials in the lockstep bank; the protocol's own
-  /// run() must be run_stepped over the identical stepper so scalar and
-  /// lockstep trials are bit-identical by construction.  One stepper per
+  /// Driver run small-n trials in the lockstep bank.  One stepper per
   /// trial: steppers hold trial state and are never shared.
   virtual std::unique_ptr<core::RoundStepper> make_stepper(
       radio::TraceRecorder* trace) const {

@@ -37,16 +37,6 @@ class DecayProtocol final : public BroadcastProtocol {
         algo_(core::DecayParams{ctx.tuning.decay_phase,
                                 ctx.tuning.max_rounds}) {}
 
-  const std::string& name() const override {
-    static const std::string n = "decay";
-    return n;
-  }
-
-  Outcome run(radio::RadioNetwork& net, Rng& rng,
-              radio::TraceRecorder* trace) const override {
-    return Outcome::from(algo_.run(net, source_, rng, trace));
-  }
-
   std::unique_ptr<core::RoundStepper> make_stepper(
       radio::TraceRecorder* trace) const override {
     return algo_.make_stepper(node_count_, source_, effective_loss_, trace);
@@ -67,16 +57,6 @@ class FastbcProtocol final : public BroadcastProtocol {
               core::FastbcParams{ctx.tuning.rank_modulus,
                                  ctx.tuning.decay_phase,
                                  ctx.tuning.max_rounds}) {}
-
-  const std::string& name() const override {
-    static const std::string n = "fastbc";
-    return n;
-  }
-
-  Outcome run(radio::RadioNetwork& net, Rng& rng,
-              radio::TraceRecorder* trace) const override {
-    return Outcome::from(algo_.run(net, rng, trace));
-  }
 
   std::unique_ptr<core::RoundStepper> make_stepper(
       radio::TraceRecorder* trace) const override {
@@ -110,16 +90,6 @@ class RobustFastbcProtocol final : public BroadcastProtocol {
       : effective_loss_(ctx.scenario.channel.effective_loss()),
         algo_(ctx.graph, ctx.scenario.source, robust_params(ctx)) {}
 
-  const std::string& name() const override {
-    static const std::string n = "robust";
-    return n;
-  }
-
-  Outcome run(radio::RadioNetwork& net, Rng& rng,
-              radio::TraceRecorder* trace) const override {
-    return Outcome::from(algo_.run(net, rng, trace));
-  }
-
   std::unique_ptr<core::RoundStepper> make_stepper(
       radio::TraceRecorder* trace) const override {
     return algo_.make_stepper(effective_loss_, trace);
@@ -146,12 +116,8 @@ core::MultiMessageParams rlnc_params(const ProtocolContext& ctx,
 
 class RlncProtocol final : public BroadcastProtocol {
  public:
-  RlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern,
-               std::string name)
-      : name_(std::move(name)),
-        algo_(ctx.graph, ctx.scenario.source, rlnc_params(ctx, pattern, 0)) {}
-
-  const std::string& name() const override { return name_; }
+  RlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern)
+      : algo_(ctx.graph, ctx.scenario.source, rlnc_params(ctx, pattern, 0)) {}
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -159,7 +125,6 @@ class RlncProtocol final : public BroadcastProtocol {
   }
 
  private:
-  std::string name_;
   core::RlncBroadcast algo_;
 };
 
@@ -198,16 +163,12 @@ Outcome verified_outcome(std::size_t k, std::size_t block_len,
 
 class VerifiedRlncProtocol final : public BroadcastProtocol {
  public:
-  VerifiedRlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern,
-                       std::string name)
-      : name_(std::move(name)),
-        nodes_(ctx.graph.node_count()),
+  VerifiedRlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern)
+      : nodes_(ctx.graph.node_count()),
         k_(static_cast<std::size_t>(ctx.scenario.k)),
         block_len_(verified_block_len(ctx)),
         algo_(ctx.graph, ctx.scenario.source,
               rlnc_params(ctx, pattern, verified_block_len(ctx))) {}
-
-  const std::string& name() const override { return name_; }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -218,7 +179,6 @@ class VerifiedRlncProtocol final : public BroadcastProtocol {
   }
 
  private:
-  std::string name_;
   std::int64_t nodes_;
   std::size_t k_;
   std::size_t block_len_;
@@ -232,11 +192,6 @@ class ErasureProtocol final : public BroadcastProtocol {
         k_(static_cast<std::size_t>(ctx.scenario.k)),
         block_len_(verified_block_len(ctx)),
         algo_(ctx.graph, ctx.scenario.source, erasure_params(ctx)) {}
-
-  const std::string& name() const override {
-    static const std::string n = "erasure-decay";
-    return n;
-  }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -278,11 +233,6 @@ class PipelineProtocol final : public BroadcastProtocol {
     params_.decay_phase = ctx.tuning.decay_phase;
   }
 
-  const std::string& name() const override {
-    static const std::string n = "pipeline";
-    return n;
-  }
-
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
     return Outcome::from(
@@ -300,11 +250,6 @@ class GreedyRouterProtocol final : public BroadcastProtocol {
       : source_(ctx.scenario.source) {
     params_.k = ctx.scenario.k;
     params_.max_rounds = ctx.tuning.max_rounds;
-  }
-
-  const std::string& name() const override {
-    static const std::string n = "greedy";
-    return n;
   }
 
   Outcome run(radio::RadioNetwork& net, Rng& /*rng*/,
@@ -384,7 +329,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<RlncProtocol>(
-                     ctx, core::MultiPattern::kDecay, "rlnc-decay");
+                     ctx, core::MultiPattern::kDecay);
                },
                rlnc_decay_bound);
   registry.add("rlnc-robust",
@@ -392,7 +337,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<RlncProtocol>(
-                     ctx, core::MultiPattern::kRobustFastbc, "rlnc-robust");
+                     ctx, core::MultiPattern::kRobustFastbc);
                },
                rlnc_robust_bound);
   registry.add("rlnc-decay-verified",
@@ -401,7 +346,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kVerifiedPayload | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<VerifiedRlncProtocol>(
-                     ctx, core::MultiPattern::kDecay, "rlnc-decay-verified");
+                     ctx, core::MultiPattern::kDecay);
                },
                rlnc_decay_bound);
   registry.add("rlnc-robust-verified",
@@ -410,8 +355,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kVerifiedPayload | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<VerifiedRlncProtocol>(
-                     ctx, core::MultiPattern::kRobustFastbc,
-                     "rlnc-robust-verified");
+                     ctx, core::MultiPattern::kRobustFastbc);
                },
                rlnc_robust_bound);
   registry.add("erasure-decay",

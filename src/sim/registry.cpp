@@ -69,6 +69,7 @@ ProtocolRegistry& ProtocolRegistry::global() {
   static ProtocolRegistry registry = [] {
     ProtocolRegistry r;
     register_builtin_protocols(r);
+    register_schedule_protocols(r);
     return r;
   }();
   return registry;

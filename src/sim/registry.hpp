@@ -3,7 +3,8 @@
 // The registry is how every caller -- nrn_sim, the benches, the examples,
 // the tests -- selects a protocol at runtime: no per-algorithm dispatch
 // switches exist outside this file's implementation.  The global() instance
-// comes pre-loaded with the library's built-in protocols; custom protocols
+// comes pre-loaded with every protocol of the library, the builtin
+// broadcast protocols and the schedule-level ones; custom protocols
 // (experiments, ablation variants) can be added to any instance.
 //
 // v2 registers three things per protocol besides the factory:
@@ -94,9 +95,9 @@ class ProtocolRegistry {
   /// registered.  Throws SpecError on an unknown name.
   double theory_bound(const std::string& name, const TheoryContext& ctx) const;
 
-  /// The process-wide registry, pre-loaded with the built-in protocols:
-  /// decay, fastbc, robust, rlnc-decay, rlnc-robust, the verified-payload
-  /// variants, erasure-decay, pipeline, greedy.
+  /// The process-wide registry, pre-loaded with every protocol of the
+  /// library: the builtin broadcast protocols and the schedule-level ones
+  /// (register_builtin_protocols + register_schedule_protocols).
   static ProtocolRegistry& global();
 
  private:
@@ -110,21 +111,18 @@ class ProtocolRegistry {
   std::map<std::string, Entry> entries_;
 };
 
-/// Registers the built-in protocols into `registry` (used by global();
-/// exposed so tests can build isolated registries).
+/// Registers the built-in protocols into `registry`: decay, fastbc,
+/// robust, rlnc-decay, rlnc-robust, the verified-payload variants,
+/// erasure-decay, pipeline, greedy.  global() holds these plus the
+/// schedule-level protocols; the two register functions let tests and
+/// benchmarks build registries of their own.
 void register_builtin_protocols(ProtocolRegistry& registry);
 
 /// Registers the schedule-level protocols: the Lemma 25/26 transforms
-/// (star/path base schedules), the Appendix A single-link schedules, the
-/// Section 5.1.1 star schedules, and the Section 5.1.2 WCT schedules.
-/// These are topology-constrained -- their factories throw SpecError on a
-/// scenario they cannot schedule -- so they live outside global() and are
-/// added explicitly by the sweep CLI, the benches, and the tests.
+/// (star/path base schedules), the Section 5.1.1 star schedules with the
+/// Appendix A single-link schedules, and the Section 5.1.2 WCT schedules.
+/// These are topology-constrained: their factories throw SpecError on a
+/// scenario they cannot schedule.
 void register_schedule_protocols(ProtocolRegistry& registry);
-
-/// The process-wide registry with the builtin AND schedule-level
-/// protocols: the one assembly the CLI, the sweep benches, and the sweep
-/// tests all run against.
-const ProtocolRegistry& extended_registry();
 
 }  // namespace nrn::sim

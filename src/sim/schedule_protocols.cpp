@@ -1,11 +1,12 @@
 // Schedule-level protocol adapters: the Lemma 25/26 transforms, the
-// Appendix A single-link schedules, the Section 5.1.1 star schedules, and
-// the Section 5.1.2 WCT schedules behind the uniform BroadcastProtocol
-// interface.  Unlike the builtin broadcast protocols these only run on the
-// topologies whose base schedules exist (star/path for the transforms, the
-// two-node link for the Appendix A schedules, star/wct for the gap
-// schedules), so their factories validate the scenario and they are
-// registered separately from global().
+// Section 5.1.1 star schedules with the Appendix A single-link schedules
+// (the one-leaf star: one adapter, each family with its own repetition and
+// packet counts), and the Section 5.1.2 WCT schedules behind the uniform
+// BroadcastProtocol interface.  Unlike the builtin broadcast protocols
+// these only run on the topologies whose base schedules exist (star/path
+// for the transforms, star or link with the source at the hub for the hub
+// schedules, wct for the WCT schedules), so their factories validate the
+// scenario and throw SpecError on one they cannot schedule.
 //
 // These are the protocols behind the paper's gap experiments: each one
 // carries the kScheduleGap capability and a theory bound, so the e7/e8
@@ -15,13 +16,11 @@
 #include <cmath>
 #include <memory>
 
-#include "core/single_link.hpp"
 #include "core/star_schedules.hpp"
 #include "core/transforms.hpp"
 #include "core/wct_schedules.hpp"
 #include "sim/registry.hpp"
 #include "sim/theory_bounds.hpp"
-#include "topology/star.hpp"
 #include "topology/wct.hpp"
 
 namespace nrn::sim {
@@ -55,12 +54,10 @@ core::TransformParams transform_params(const ProtocolContext& ctx) {
 class TransformProtocol final : public BroadcastProtocol {
  public:
   TransformProtocol(const ProtocolContext& ctx, bool coding)
-      : name_(coding ? "transform-coding" : "transform-routing"),
-        coding_(coding),
-        base_(base_schedule_for(ctx, name_)),
+      : coding_(coding),
+        base_(base_schedule_for(
+            ctx, coding ? "transform-coding" : "transform-routing")),
         params_(transform_params(ctx)) {}
-
-  const std::string& name() const override { return name_; }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -73,124 +70,95 @@ class TransformProtocol final : public BroadcastProtocol {
   }
 
  private:
-  std::string name_;
   bool coding_;
   std::unique_ptr<core::BaseSchedule> base_;
   core::TransformParams params_;
 };
 
-enum class LinkMode { kNonadaptive, kAdaptive, kCoding };
+// --------------------------------------------- star and link gap schedules
 
-class LinkProtocol final : public BroadcastProtocol {
- public:
-  LinkProtocol(const ProtocolContext& ctx, LinkMode mode, std::string name)
-      : name_(std::move(name)), mode_(mode), k_(ctx.scenario.k) {
-    if (ctx.scenario.topology.kind != "link")
-      throw SpecError(name_ + " needs the 'link' topology, got '" +
-                      ctx.scenario.topology.text + "'");
-    const double loss = ctx.scenario.channel.effective_loss();
-    reps_ = loss > 0.0 ? core::link_nonadaptive_reps(k_, loss) : 1;
-    packets_ = core::link_rs_packet_count(k_, loss);
-    max_rounds_ =
-        ctx.tuning.max_rounds > 0 ? ctx.tuning.max_rounds : 1'000'000'000;
-  }
-
-  const std::string& name() const override { return name_; }
-
-  Outcome run(radio::RadioNetwork& net, Rng& /*rng*/,
-              radio::TraceRecorder* /*trace*/) const override {
-    // All three schedules are deterministic given the network's fault tape.
-    switch (mode_) {
-      case LinkMode::kNonadaptive:
-        return Outcome::from(
-            core::run_link_nonadaptive_routing(net, k_, reps_));
-      case LinkMode::kAdaptive:
-        return Outcome::from(
-            core::run_link_adaptive_routing(net, k_, max_rounds_));
-      case LinkMode::kCoding:
-        return Outcome::from(core::run_link_rs_coding(net, k_, packets_));
-    }
-    NRN_EXPECTS(false, "unhandled link mode");
-    return {};
-  }
-
- private:
-  std::string name_;
-  LinkMode mode_;
-  std::int64_t k_;
-  std::int64_t reps_ = 1;
-  std::int64_t packets_ = 1;
-  std::int64_t max_rounds_ = 0;
+/// What a hub schedule needs besides its mode: the non-adaptive repetition
+/// count and the coded packet count.  The star and the link (the one-leaf
+/// star) run the same core schedules with their own counts.
+struct HubCounts {
+  std::int64_t reps;
+  std::int64_t packets;
 };
 
-// ------------------------------------------------------ star gap schedules
-
-topology::Star star_for(const ProtocolContext& ctx,
+void require_hub_source(const ProtocolContext& ctx,
                         const std::string& protocol) {
+  if (ctx.scenario.source != 0)
+    throw SpecError(protocol + " needs source 0 (the hub)");
+}
+
+/// star:n -- the Lemma 15 ablation's repetitions and Lemma 16's packets.
+HubCounts star_counts(const ProtocolContext& ctx, const std::string& protocol) {
   const auto& topology = ctx.scenario.topology;
   if (topology.kind != "star")
     throw SpecError(protocol + " needs a star:* topology, got '" +
                     topology.text + "'");
-  if (ctx.scenario.source != 0)
-    throw SpecError(protocol + " needs source 0 (the hub)");
-  return topology::make_star(
-      static_cast<graph::NodeId>(topology.ints.at(0)));
+  require_hub_source(ctx, protocol);
+  const std::int64_t k = ctx.scenario.k;
+  const std::int64_t n = topology.ints.at(0);
+  const double p = ctx.scenario.channel.effective_loss();
+  // Repetitions for per-leaf, per-message failure below 1/(n k):
+  // p^r <= 1/(n k^2), i.e. r = ceil(log_{1/p}(n k^2)).
+  const std::int64_t reps =
+      p <= 0.0 ? 1
+               : std::max<std::int64_t>(
+                     1, static_cast<std::int64_t>(std::ceil(
+                            std::log(std::max<double>(
+                                2.0, static_cast<double>(n * k * k))) /
+                            std::log(1.0 / p))));
+  return {reps, core::rs_packet_count(k, static_cast<std::int32_t>(n + 1), p)};
 }
 
-enum class StarMode { kAdaptive, kNonadaptive, kCoding };
+/// link -- Lemma 29's repetitions and Lemma 30's packets.
+HubCounts link_counts(const ProtocolContext& ctx, const std::string& protocol) {
+  if (ctx.scenario.topology.kind != "link")
+    throw SpecError(protocol + " needs the 'link' topology, got '" +
+                    ctx.scenario.topology.text + "'");
+  require_hub_source(ctx, protocol);
+  const std::int64_t k = ctx.scenario.k;
+  const double p = ctx.scenario.channel.effective_loss();
+  return {p > 0.0 ? core::link_nonadaptive_reps(k, p) : 1,
+          core::rs_packet_count(k, 1, p)};
+}
 
-class StarProtocol final : public BroadcastProtocol {
+enum class HubMode { kAdaptive, kNonadaptive, kCoding };
+
+class HubProtocol final : public BroadcastProtocol {
  public:
-  StarProtocol(const ProtocolContext& ctx, StarMode mode, std::string name)
-      : name_(std::move(name)),
-        mode_(mode),
-        star_(star_for(ctx, name_)),
-        k_(ctx.scenario.k) {
-    const double p = ctx.scenario.channel.effective_loss();
-    const auto n = static_cast<std::int64_t>(star_.leaves.size());
-    // Lemma 15 ablation: repetitions for per-leaf, per-message failure
-    // below 1/(n k): p^r <= 1/(n k^2), i.e. r = ceil(log_{1/p}(n k^2)).
-    reps_ = p <= 0.0
-                ? 1
-                : std::max<std::int64_t>(
-                      1, static_cast<std::int64_t>(std::ceil(
-                             std::log(std::max<double>(
-                                 2.0, static_cast<double>(n * k_ * k_))) /
-                             std::log(1.0 / p))));
-    packets_ = core::rs_packet_count(
-        k_, static_cast<std::int32_t>(n + 1), p);
-    max_rounds_ =
-        ctx.tuning.max_rounds > 0 ? ctx.tuning.max_rounds : 1'000'000'000;
-  }
-
-  const std::string& name() const override { return name_; }
+  HubProtocol(const ProtocolContext& ctx, HubMode mode, HubCounts counts)
+      : mode_(mode),
+        k_(ctx.scenario.k),
+        counts_(counts),
+        max_rounds_(ctx.tuning.max_rounds > 0 ? ctx.tuning.max_rounds
+                                              : 1'000'000'000) {}
 
   Outcome run(radio::RadioNetwork& net, Rng& /*rng*/,
               radio::TraceRecorder* /*trace*/) const override {
-    // The star schedules draw all randomness from the network fault tape.
+    // The hub schedules draw all randomness from the network fault tape.
     switch (mode_) {
-      case StarMode::kAdaptive:
+      case HubMode::kAdaptive:
         return Outcome::from(
-            core::run_star_adaptive_routing(net, star_, k_, max_rounds_));
-      case StarMode::kNonadaptive:
+            core::run_star_adaptive_routing(net, k_, max_rounds_));
+      case HubMode::kNonadaptive:
         return Outcome::from(
-            core::run_star_nonadaptive_routing(net, star_, k_, reps_));
-      case StarMode::kCoding:
+            core::run_star_nonadaptive_routing(net, k_, counts_.reps));
+      case HubMode::kCoding:
         return Outcome::from(
-            core::run_star_rs_coding(net, star_, k_, packets_));
+            core::run_star_rs_coding(net, k_, counts_.packets));
     }
-    NRN_EXPECTS(false, "unhandled star mode");
+    NRN_EXPECTS(false, "unhandled hub mode");
     return {};
   }
 
  private:
-  std::string name_;
-  StarMode mode_;
-  topology::Star star_;
+  HubMode mode_;
   std::int64_t k_;
-  std::int64_t reps_ = 1;
-  std::int64_t packets_ = 1;
-  std::int64_t max_rounds_ = 0;
+  HubCounts counts_;
+  std::int64_t max_rounds_;
 };
 
 // ------------------------------------------------------- wct gap schedules
@@ -229,11 +197,6 @@ class WctCodingProtocol final : public BroadcastProtocol {
     params_.max_rounds = ctx.tuning.max_rounds;
   }
 
-  const std::string& name() const override {
-    static const std::string n = "wct-coding";
-    return n;
-  }
-
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
     return Outcome::from(core::run_wct_rs_coding(net, wct_, params_, rng));
@@ -253,11 +216,6 @@ class WctUniqueProbeProtocol final : public BroadcastProtocol {
  public:
   explicit WctUniqueProbeProtocol(const ProtocolContext& ctx)
       : wct_(wct_for(ctx, "wct-unique-probe")) {}
-
-  const std::string& name() const override {
-    static const std::string n = "wct-unique-probe";
-    return n;
-  }
 
   Outcome run(radio::RadioNetwork& /*net*/, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -336,16 +294,6 @@ double link_nonadaptive_bound(const TheoryContext& ctx) {
 
 }  // namespace
 
-const ProtocolRegistry& extended_registry() {
-  static const ProtocolRegistry* registry = [] {
-    auto* r = new ProtocolRegistry();
-    register_builtin_protocols(*r);
-    register_schedule_protocols(*r);
-    return r;
-  }();
-  return *registry;
-}
-
 void register_schedule_protocols(ProtocolRegistry& registry) {
   registry.add("transform-routing",
                "Lemma 25: routing transform of a faultless base schedule "
@@ -366,8 +314,9 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "link, Theta(log k) rounds/message",
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<LinkProtocol>(
-                     ctx, LinkMode::kNonadaptive, "link-nonadaptive");
+                 return std::make_unique<HubProtocol>(
+                     ctx, HubMode::kNonadaptive,
+                     link_counts(ctx, "link-nonadaptive"));
                },
                link_nonadaptive_bound);
   registry.add("link-adaptive",
@@ -375,8 +324,9 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "1/(1-p) rounds/message",
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<LinkProtocol>(
-                     ctx, LinkMode::kAdaptive, "link-adaptive");
+                 return std::make_unique<HubProtocol>(
+                     ctx, HubMode::kAdaptive,
+                     link_counts(ctx, "link-adaptive"));
                },
                coded_stream_bound);
   registry.add("link-coding",
@@ -384,8 +334,8 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "rounds/message",
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<LinkProtocol>(ctx, LinkMode::kCoding,
-                                                       "link-coding");
+                 return std::make_unique<HubProtocol>(
+                     ctx, HubMode::kCoding, link_counts(ctx, "link-coding"));
                },
                coded_stream_bound);
   registry.add("star-adaptive",
@@ -393,8 +343,9 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "it; Theta(log n) rounds/message under receiver faults",
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<StarProtocol>(
-                     ctx, StarMode::kAdaptive, "star-adaptive");
+                 return std::make_unique<HubProtocol>(
+                     ctx, HubMode::kAdaptive,
+                     star_counts(ctx, "star-adaptive"));
                },
                star_adaptive_bound);
   registry.add("star-nonadaptive",
@@ -402,8 +353,9 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "ceil(log_{1/p} n k^2) times (the adaptivity ablation)",
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<StarProtocol>(
-                     ctx, StarMode::kNonadaptive, "star-nonadaptive");
+                 return std::make_unique<HubProtocol>(
+                     ctx, HubMode::kNonadaptive,
+                     star_counts(ctx, "star-nonadaptive"));
                },
                star_nonadaptive_bound);
   registry.add("star-coding",
@@ -411,8 +363,8 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "rounds/message -- the Theorem 17 coding gap's fast side",
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<StarProtocol>(
-                     ctx, StarMode::kCoding, "star-coding");
+                 return std::make_unique<HubProtocol>(
+                     ctx, HubMode::kCoding, star_counts(ctx, "star-coding"));
                },
                coded_stream_bound);
   registry.add("wct-coding",

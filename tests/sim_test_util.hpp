@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/sim.hpp"
@@ -28,6 +29,29 @@ inline const std::vector<std::string>& builtin_names() {
   return names;
 }
 
+/// The sorted names register_schedule_protocols installs.
+inline const std::vector<std::string>& schedule_names() {
+  static const std::vector<std::string> names = {
+      "link-adaptive",     "link-coding",       "link-nonadaptive",
+      "star-adaptive",     "star-coding",       "star-nonadaptive",
+      "transform-coding",  "transform-routing", "wct-coding",
+      "wct-unique-probe",
+  };
+  return names;
+}
+
+/// A scenario every registered protocol can run: topology-restricted
+/// protocol families get a matching topology, the rest run on a grid.
+inline Scenario scenario_for(const std::string& name) {
+  if (name.rfind("link", 0) == 0)
+    return Scenario::parse("link", "receiver:0.3", 0, 2, 321);
+  if (name.rfind("wct", 0) == 0)
+    return Scenario::parse("wct:16:2:6:2", "receiver:0.3", 0, 2, 321);
+  if (name.rfind("star", 0) == 0 || name.rfind("transform", 0) == 0)
+    return Scenario::parse("star:24", "receiver:0.3", 0, 2, 321);
+  return Scenario::parse("grid:6x6", "combined:0.2:0.3", 0, 2, 321);
+}
+
 /// Parses a topology spec and materializes its graph from `seed`.
 inline graph::Graph build_topology(const std::string& spec,
                                    std::uint64_t seed = 1) {
@@ -42,13 +66,17 @@ struct ScenarioFixture {
   graph::Graph graph;
   Tuning tuning;
 
+  explicit ScenarioFixture(Scenario scenario_in, Tuning tuning_in = {})
+      : scenario(std::move(scenario_in)),
+        graph(scenario.build_graph()),
+        tuning(tuning_in) {}
+
   explicit ScenarioFixture(const std::string& topology,
                            const std::string& fault = "none",
                            graph::NodeId source = 0, std::int64_t k = 1,
                            std::uint64_t seed = 1, Tuning tuning_in = {})
-      : scenario(Scenario::parse(topology, fault, source, k, seed)),
-        graph(scenario.build_graph()),
-        tuning(tuning_in) {}
+      : ScenarioFixture(Scenario::parse(topology, fault, source, k, seed),
+                        tuning_in) {}
 
   ProtocolContext context() const { return {graph, scenario, tuning}; }
 };

@@ -297,7 +297,7 @@ TEST(SinrChannel, UnsupportedProtocolIsRejectedUpFront) {
   const auto scenario = sim::Scenario::parse("disk:48:0.3", "none", 0, 1, 3,
                                              "sinr:2:0.001:1");
   try {
-    sim::Driver(sim::extended_registry()).run(scenario, "star-coding", 1);
+    sim::Driver().run(scenario, "star-coding", 1);
     ADD_FAILURE() << "expected SpecError";
   } catch (const sim::SpecError& e) {
     EXPECT_STREQ(e.what(),

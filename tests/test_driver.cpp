@@ -44,18 +44,59 @@ TEST(Driver, ThreadedTrialsMatchSerialBitForBit) {
 TEST(Driver, EveryRegisteredProtocolRunsOnAScenario) {
   // k > 1 exercises the multi-message protocols; the single-message ones
   // broadcast their one message regardless.
-  const auto scenario = Scenario::parse("path:24", "receiver:0.2", 0, 3, 11);
   for (const auto& name : ProtocolRegistry::global().names()) {
     SCOPED_TRACE(name);
+    const auto scenario = testutil::scenario_for(name);
     const auto report = Driver().run(scenario, name, 2);
     EXPECT_EQ(report.protocol, name);
-    EXPECT_EQ(report.node_count, 24);
+    EXPECT_EQ(report.node_count, scenario.build_graph().node_count());
     ASSERT_EQ(report.trials.size(), 2u);
-    EXPECT_TRUE(report.all_completed());
-    for (const auto& trial : report.trials) EXPECT_GT(trial.run.rounds(), 0);
+    // Two schedule protocols promise less: the Lemma 25 routing transform
+    // survives sender faults only (scenario_for gives it receiver faults),
+    // and the Lemma 18 probe measures the topology without running rounds.
+    if (name != "transform-routing") {
+      EXPECT_TRUE(report.all_completed());
+    }
+    for (const auto& trial : report.trials) {
+      if (name == "wct-unique-probe") {
+        EXPECT_NE(trial.run.find("unique_fraction"), nullptr);
+      } else {
+        EXPECT_GT(trial.run.rounds(), 0);
+      }
+    }
     // Reproducibility holds for every protocol, not just decay.
     const auto again = Driver().run(scenario, name, 2);
     EXPECT_EQ(report.trials, again.trials);
+  }
+}
+
+TEST(Driver, DefaultRegistryRunsTheScheduleProtocols) {
+  // The default Driver reads global(), which holds the schedule-level
+  // protocols as well as the builtins.
+  const auto scenario = Scenario::parse("star:16", "receiver:0.3", 0, 4, 9);
+  const auto report = Driver().run(scenario, "star-coding", 2);
+  EXPECT_EQ(report.protocol, "star-coding");
+  EXPECT_TRUE(report.all_completed());
+}
+
+TEST(Driver, HubSchedulesNeedTheHubAsSource) {
+  // The star and link schedules broadcast from node 0, so a scenario that
+  // names another source is a spec error, not a run from the wrong node.
+  for (const std::string family : {"link", "star"}) {
+    const auto scenario = Scenario::parse(
+        family == "link" ? "link" : "star:4", "none", 1, 4, 3);
+    for (const std::string mode : {"adaptive", "nonadaptive", "coding"}) {
+      const std::string name = family + "-" + mode;
+      SCOPED_TRACE(name);
+      try {
+        Driver().run(scenario, name, 1);
+        ADD_FAILURE() << "expected SpecError";
+      } catch (const SpecError& e) {
+        EXPECT_NE(std::string(e.what()).find("needs source 0 (the hub)"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 

@@ -38,9 +38,11 @@ TEST(Generators, Star) {
 }
 
 TEST(Generators, SingleLink) {
-  const Graph g = make_single_link();
+  // Appendix A's single link is the one-leaf star.
+  const Graph g = make_star(1);
   EXPECT_EQ(g.node_count(), 2);
   EXPECT_EQ(g.edge_count(), 1);
+  EXPECT_TRUE(g.has_edge(0, 1));
 }
 
 TEST(Generators, Complete) {

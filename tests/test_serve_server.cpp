@@ -42,7 +42,7 @@ class ServerFixture {
  public:
   explicit ServerFixture(const std::string& leaf,
                          const sim::ProtocolRegistry& registry =
-                             sim::extended_registry(),
+                             sim::ProtocolRegistry::global(),
                          ServerOptions options = {}) {
     const std::string dir = scratch_dir(leaf);
     fs::create_directories(dir);
@@ -124,8 +124,7 @@ const char kPlan[] =
     "seed=21";
 
 sim::SweepReport serial_report(const std::string& plan_text) {
-  return sim::SweepRunner(sim::extended_registry())
-      .run(sim::SweepPlan::parse(plan_text));
+  return sim::SweepRunner().run(sim::SweepPlan::parse(plan_text));
 }
 
 TEST(ServeServer, ReportBitIdenticalToSerialAndWarmRepeatComputesNothing) {
@@ -227,7 +226,7 @@ TEST(ServeServer, ConcurrentOverlappingClientsShareCellComputes) {
 TEST(ServeServer, MalformedAndOversizedRequestsGetStructuredErrors) {
   ServerOptions options;
   options.max_line_bytes = 4096;
-  ServerFixture fixture("srv_bad", sim::extended_registry(), options);
+  ServerFixture fixture("srv_bad", sim::ProtocolRegistry::global(), options);
   LineClient client = fixture.connect();
 
   // Protocol-level garbage: every line gets an `error` reply in order.
@@ -318,7 +317,7 @@ TEST(ServeServer, QueryAnswersFromWarmCacheOnly) {
 TEST(ServeServer, TcpListenerSpeaksTheSameProtocol) {
   ServerOptions options;
   options.tcp_port = 0;  // ephemeral
-  ServerFixture fixture("srv_tcp", sim::extended_registry(), options);
+  ServerFixture fixture("srv_tcp", sim::ProtocolRegistry::global(), options);
   ASSERT_GT(fixture.server->tcp_port(), 0);
   LineClient client = LineClient::connect_tcp(fixture.server->tcp_port());
   client.send(Message("ping"));
@@ -337,7 +336,7 @@ TEST(ServeServer, ShutdownRequestStopsTheLoop) {
   ServerOptions options;
   options.socket_path = dir + "/serve.sock";
   options.cache_dir = dir + "/cache";
-  SweepServer server(sim::extended_registry(), options);
+  SweepServer server(sim::ProtocolRegistry::global(), options);
   std::thread loop([&] { server.run(); });
   {
     LineClient client = LineClient::connect_unix(options.socket_path);
@@ -358,8 +357,8 @@ TEST(ServeServer, RefusesSocketOfALiveDaemonButReplacesAStaleFile) {
   options.socket_path = dir + "/serve.sock";
   options.cache_dir = dir + "/cache";
   {
-    SweepServer live(sim::extended_registry(), options);
-    EXPECT_THROW(SweepServer(sim::extended_registry(), options),
+    SweepServer live(sim::ProtocolRegistry::global(), options);
+    EXPECT_THROW(SweepServer(sim::ProtocolRegistry::global(), options),
                  sim::SpecError);
   }
   // A crashed daemon leaves a socket file nobody answers on.  Fabricate
@@ -377,7 +376,7 @@ TEST(ServeServer, RefusesSocketOfALiveDaemonButReplacesAStaleFile) {
     ::close(fd);
     ASSERT_TRUE(fs::exists(options.socket_path));  // the stale leftover
   }
-  SweepServer replacement(sim::extended_registry(), options);
+  SweepServer replacement(sim::ProtocolRegistry::global(), options);
   std::thread loop([&] { replacement.run(); });
   LineClient client = LineClient::connect_unix(options.socket_path);
   client.send(Message("ping"));

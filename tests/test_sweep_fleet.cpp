@@ -30,7 +30,7 @@ const char kFleetPlan[] =
 SweepReport run_plan(const std::string& plan_text,
                      const SweepOptions& options = {}) {
   const auto plan = SweepPlan::parse(plan_text);
-  return SweepRunner(extended_registry()).run(plan, options);
+  return SweepRunner().run(plan, options);
 }
 
 std::string scratch_dir(const std::string& leaf) {

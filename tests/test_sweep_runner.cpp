@@ -24,7 +24,7 @@ using testutil::sweep_json_of;
 SweepReport run_plan(const std::string& plan_text,
                      const SweepOptions& options = {}) {
   const auto plan = SweepPlan::parse(plan_text);
-  return SweepRunner(extended_registry()).run(plan, options);
+  return SweepRunner().run(plan, options);
 }
 
 /// A scratch directory unique to the running test, wiped up front.
@@ -54,6 +54,13 @@ const char kPlanA[] =
 const char kPlanB[] =
     "topology=grid:3x4; fault=combined:0.1:0.1; "
     "protocols=decay,robust,fastbc; k={1..3}; trials=2; seed=5";
+
+TEST(SweepRunner, DefaultRegistryRunsTheScheduleProtocols) {
+  const auto report = run_plan(
+      "topology=star:16; protocols=star-coding; k=4; trials=2; seed=9");
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_TRUE(report.all_completed());
+}
 
 TEST(SweepRunner, ShardPartitionsMergeBitIdentically) {
   for (const std::string plan : {kPlanA, kPlanB}) {
@@ -288,10 +295,9 @@ TEST(ResultCache, ConcurrentWritersOfOneCellNeverCorruptTheEntry) {
   const auto plan = SweepPlan::parse(
       "topology=path:8; protocols=decay; trials=2; seed=11");
   const std::string key = sweep_cache_key(plan.cells.at(0), {});
-  const auto report =
-      Driver(extended_registry())
-          .run(plan.cells[0].scenario, plan.cells[0].protocol,
-               plan.cells[0].trials);
+  const auto report = Driver().run(plan.cells[0].scenario,
+                                   plan.cells[0].protocol,
+                                   plan.cells[0].trials);
 
   constexpr int kWriters = 4;
   constexpr int kStoresPerWriter = 50;

@@ -34,7 +34,7 @@ ExperimentReport run_decay(bool trace, const std::string& topology = "path:12",
 SweepReport run_plan(const std::string& plan_text,
                      const SweepOptions& options = {}) {
   const auto plan = SweepPlan::parse(plan_text);
-  return SweepRunner(extended_registry()).run(plan, options);
+  return SweepRunner().run(plan, options);
 }
 
 std::string scratch_dir(const std::string& leaf) {

@@ -94,7 +94,7 @@ struct Options {
             << "            regular:n:d  link  wct:budget  wct:M:L:C:S\n"
             << "            disk:n:radius[:power]  uniform:n:density\n"
             << "algorithms:";
-  for (const auto& name : sim::extended_registry().names())
+  for (const auto& name : sim::ProtocolRegistry::global().names())
     std::cerr << " " << name;
   std::cerr << "\nfaults:     none  sender:p  receiver:p  combined:ps:pr\n"
             << "channels:   none  sinr:alpha:noise:beta  (sinr needs a "
@@ -304,7 +304,7 @@ int sweep_main(int argc, char** argv) {
       report = sim::merge_sweep_reports(shards);
     } else {
       const auto plan = sim::SweepPlan::parse(opt.plan);
-      report = sim::SweepRunner(sim::extended_registry()).run(plan, opt.run);
+      report = sim::SweepRunner().run(plan, opt.run);
     }
     if (!opt.out_file.empty()) {
       std::ofstream out(opt.out_file, std::ios::binary | std::ios::trunc);
@@ -387,7 +387,7 @@ int serve_main(int argc, char** argv) {
   if (opt.socket_path.empty() && opt.tcp_port < 0)
     usage("serve needs --socket and/or --tcp-port");
   try {
-    serve::SweepServer server(sim::extended_registry(), opt);
+    serve::SweepServer server(sim::ProtocolRegistry::global(), opt);
     g_serve_server = &server;
     std::signal(SIGINT, handle_stop_signal);
     std::signal(SIGTERM, handle_stop_signal);
@@ -604,7 +604,7 @@ int shutdown_main(int argc, char** argv) {
 // its capability set, whether a theory bound is registered, and the
 // one-line description.
 int protocols_main() {
-  const auto& registry = sim::extended_registry();
+  const auto& registry = sim::ProtocolRegistry::global();
   std::size_t name_width = 0, caps_width = 0;
   for (const auto& name : registry.names()) {
     name_width = std::max(name_width, name.size());
@@ -704,8 +704,6 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]) == "topologies")
     return topologies_main();
   const Options opt = parse_args(argc, argv);
-  const auto& registry = sim::extended_registry();
-
   if (opt.list) return protocols_main();
 
   try {
@@ -715,7 +713,7 @@ int main(int argc, char** argv) {
     sim::DriverOptions driver_options;
     driver_options.threads = static_cast<int>(opt.threads);
     driver_options.trace = opt.trace;
-    const auto report = sim::Driver(registry).run(
+    const auto report = sim::Driver().run(
         scenario, opt.algorithm, static_cast<int>(opt.trials), driver_options);
     switch (opt.format) {
       case Format::kTable:
